@@ -30,6 +30,12 @@ from .spectral import (
 from .walk import eigh, envelope_scan, evolution_operator
 
 
+# Largest grid `scan-boundary` accepts.  Each point needs several exact gcds
+# and a resultant, so this many points already take minutes; a larger grid is
+# refused before any work rather than left running.
+MAX_SCAN_POINTS = 10_000
+
+
 def _g17(x: float) -> str:
     # 17 significant digits: doubles round-trip losslessly
     return format(float(x), ".17g")
@@ -110,11 +116,10 @@ def _cmd_scan_boundary(args) -> int:
     step = Fraction(args.step)
     if step <= 0 or emax < emin:
         raise ValueError("need step > 0 and emax >= emin")
-    grid = []
-    e = emin
-    while e <= emax:
-        grid.append(e)
-        e += step
+    count = math.floor((emax - emin) / step) + 1
+    if count > MAX_SCAN_POINTS:
+        raise ValueError(f"grid has {count} points, more than the limit of {MAX_SCAN_POINTS}")
+    grid = [emin + i * step for i in range(count)]
     report = boundary_scan(build_ninesite, k, grid)
     print(report.report_text())
     return 0
@@ -249,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "scan-boundary",
         help="scan the shared on-site potential of the nine-site network "
-        "for strong-cospectrality failures",
+        f"for strong-cospectrality failures (at most {MAX_SCAN_POINTS} grid points)",
     )
     # let negative rationals like -43/100 pass as option values
     p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")

@@ -15,20 +15,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .network import Network, has_swap_automorphism
-from .polynomial import (
-    RationalFunction,
-    RationalPoly,
-    is_squarefree,
-    poly_gcd,
-    resultant,
-)
-from .spectral import (
-    ReductionMatrix,
-    char_poly,
-    is_cospectral,
-    isospectral_reduction,
-    reduction_charpoly,
-)
+from .polynomial import RationalPoly, is_squarefree, poly_gcd, resultant
+from .spectral import _pair_polys, _PairPolys, is_cospectral
 
 CERTIFIED = "CERTIFIED"
 LITERAL_CONDITION_FAILED = "LITERAL_CONDITION_FAILED"
@@ -49,33 +37,16 @@ class ParityDecomposition:
     minus_sign: int
 
 
-def _parity_numerator(rf: RationalFunction) -> tuple[RationalPoly, int]:
-    """Numerator of a parity quotient, normalized to leading +1.
-
-    The stored quotient is already fully cancelled; the residual guard below
-    can only fire on an internal inconsistency and aborts loudly.
-    """
-    num, den = rf.num, rf.den
-    if num.is_zero:
-        raise PGSTError("parity quotient vanished identically")
-    if poly_gcd(num, den).degree != 0:
-        raise PGSTError("parity quotient retains a common numerator/denominator factor")
-    sign = 1 if num.leading > 0 else -1
-    return num.monic(), sign
-
-
-def _decompose(net: Network, red: ReductionMatrix) -> ParityDecomposition:
-    lam = RationalFunction(RationalPoly.x())
-    p_plus, s_plus = _parity_numerator(red.a + red.b - lam)
-    p_minus, s_minus = _parity_numerator(red.a - red.b - lam)
-    product = p_plus * p_minus
-    full = char_poly(net)
-    quo, rem = divmod(full, product)
+def _decompose(pair: _PairPolys) -> ParityDecomposition:
+    p_plus, p_minus = pair.parity_factors()
+    quo, rem = divmod(pair.char_poly(), p_plus * p_minus)
     if not rem.is_zero:
         raise PGSTError(
             "parity factors do not divide the characteristic polynomial exactly"
         )
-    return ParityDecomposition(p_plus, p_minus, quo, s_plus, s_minus)
+    # a +/- b - lam = -(phi(G - v) -/+ A_uv)/D, where phi(G - v) is monic and
+    # A_uv has lower degree: both numerators lead with -1 before normalization.
+    return ParityDecomposition(p_plus, p_minus, quo, -1, -1)
 
 
 def parity_decompose(net: Network, u: int, v: int) -> ParityDecomposition:
@@ -87,10 +58,10 @@ def parity_decompose(net: Network, u: int, v: int) -> ParityDecomposition:
     """
     if not is_cospectral(net, u, v):
         raise PGSTError(f"pair ({u}, {v}) is not cospectral")
-    red = isospectral_reduction(net, u, v)
-    if not is_squarefree(reduction_charpoly(red)):
+    pair = _pair_polys(net, u, v)
+    if not is_squarefree(pair.reduction_poly()):
         raise PGSTError(f"pair ({u}, {v}) is not strongly cospectral")
-    return _decompose(net, red)
+    return _decompose(pair)
 
 
 def is_irreducible(p: RationalPoly) -> bool:
@@ -205,15 +176,15 @@ def pgst_certificate(net: Network, u: int, v: int) -> PGSTCertificate:
         cert.notes = "the deleted-vertex characteristic polynomials differ"
         return cert
 
-    red = isospectral_reduction(net, u, v)
-    strong = is_squarefree(reduction_charpoly(red))
+    pair = _pair_polys(net, u, v)
+    strong = is_squarefree(pair.reduction_poly())
     cert.strongly_cospectral = strong
     if not strong:
         cert.verdict = NOT_STRONGLY_COSPECTRAL
         cert.notes = "the reduction has a repeated non-linear eigenvalue"
         return cert
 
-    dec = _decompose(net, red)
+    dec = _decompose(pair)
     cert.p_plus, cert.p_minus, cert.p_zero = dec.p_plus, dec.p_minus, dec.p_zero
     cert.plus_sign, cert.minus_sign = dec.plus_sign, dec.minus_sign
     cert.plus_irreducible = is_irreducible(dec.p_plus)
@@ -307,15 +278,11 @@ def boundary_scan(
     grid = sorted(Fraction(e) for e in e_grid)
     if not grid:
         raise PGSTError("empty potential grid")
-    lam = RationalFunction(RationalPoly.x())
     points = []
     for e_val in grid:
-        net = builder(k, e_val)
-        red = isospectral_reduction(net, u, v)
-        rc = reduction_charpoly(red)
-        sqf = is_squarefree(rc)
-        p_plus, _ = _parity_numerator(red.a + red.b - lam)
-        p_minus, _ = _parity_numerator(red.a - red.b - lam)
+        pair = _pair_polys(builder(k, e_val), u, v)
+        sqf = is_squarefree(pair.reduction_poly())
+        p_plus, p_minus = pair.parity_factors()
         common = poly_gcd(p_plus, p_minus).degree > 0
         res = resultant(p_plus, p_minus)
         sign = 0 if res == 0 else (1 if res > 0 else -1)

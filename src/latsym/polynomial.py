@@ -5,6 +5,7 @@ enter unless the caller evaluates at a float/complex point.
 """
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -195,7 +196,11 @@ def is_squarefree(p: RationalPoly) -> bool:
 
 
 def det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by Gaussian elimination over Q (destroys its copy)."""
+    """Exact determinant by Gaussian elimination over Q (destroys its copy).
+
+    The library computes determinants with `_bareiss_det`; this independent
+    path is kept as the oracle the tests compare against.
+    """
     n = len(rows)
     if n == 0:
         return Fraction(1)
@@ -219,6 +224,41 @@ def det_fraction(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
+def _bareiss_det(a: list[list[int]]) -> int:
+    """Fraction-free determinant of an integer matrix (Bareiss).
+
+    Every interior division is exact, so the result is an exact integer.
+    """
+    n = len(a)
+    if n == 0:
+        return 1
+    a = [row[:] for row in a]
+    sign = 1
+    prev = 1
+    for c in range(n - 1):
+        piv = next((r for r in range(c, n) if a[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        pivot = a[c][c]
+        for r in range(c + 1, n):
+            arc = a[r][c]
+            row, crow = a[r], a[c]
+            for k in range(c + 1, n):
+                row[k] = (row[k] * pivot - arc * crow[k]) // prev
+            row[c] = 0
+        prev = pivot
+    return sign * a[-1][-1]
+
+
+def _integer_coeffs(p: RationalPoly) -> tuple[list[int], int]:
+    """Coefficients of s*p as integers, descending, with s > 0 their common denominator."""
+    s = lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (s // c.denominator) for c in reversed(p.coeffs)], s
+
+
 def resultant(p: RationalPoly, q: RationalPoly) -> Fraction:
     """Resultant via the Sylvester matrix; zero iff p, q share a root."""
     m, n = p.degree, q.degree
@@ -228,15 +268,13 @@ def resultant(p: RationalPoly, q: RationalPoly) -> Fraction:
         return p.leading ** n
     if n == 0:
         return q.leading ** m
+    # Res(s*p, t*q) = s^n t^m Res(p, q); s, t > 0 keep the sign.
+    pc, s = _integer_coeffs(p)
+    qc, t = _integer_coeffs(q)
     size = m + n
-    rows = []
-    pc = [p[m - i] for i in range(m + 1)]  # descending
-    qc = [q[n - i] for i in range(n + 1)]
-    for i in range(n):
-        rows.append([Fraction(0)] * i + pc + [Fraction(0)] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + qc + [Fraction(0)] * (size - n - 1 - i))
-    return det_fraction(rows)
+    rows = [[0] * i + pc + [0] * (size - m - 1 - i) for i in range(n)]
+    rows += [[0] * i + qc + [0] * (size - n - 1 - i) for i in range(m)]
+    return Fraction(_bareiss_det(rows), s**n * t**m)
 
 
 class RationalFunction:

@@ -1,6 +1,15 @@
 """Exact spectral analysis: characteristic polynomials, cospectrality,
 walk equivalence, and the isospectral reduction onto a site pair.
 
+Every exact polynomial comes from one engine, `_minors`: minors of lam*I - H
+by fraction-free integer determinants at integer lam plus interpolation.  For
+a pair (u, v), with C the other sites, three minors describe everything:
+D = phi(G - {u, v}) on (C, C), phi(G - v) on (C+u, C+u) (equal to phi(G - u)
+on (C+v, C+v) exactly when the pair is cospectral), and
+A_uv = [adj(lam*I - H)]_uv = -minor on (C+u, C+v).  Then a = lam - phi(G - v)/D,
+b = A_uv/D, the Jacobi identity phi(G - u) phi(G - v) - A_uv^2 = phi(G) D gives
+phi(G), and the reduction polynomial is phi(G)/D in lowest terms.
+
 Everything in this module is exact rational arithmetic; identical inputs give
 bit-identical outputs.
 """
@@ -8,47 +17,20 @@ bit-identical outputs.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Callable, Sequence
 
-from .network import Network, delete_vertex, has_swap_automorphism
+from .network import Network, has_swap_automorphism
 from .polynomial import (
     RationalFunction,
     RationalPoly,
-    det_fraction,
+    _bareiss_det,
     is_squarefree,
+    poly_gcd,
 )
 
 
 class SpectralError(ValueError):
     pass
-
-
-def _bareiss_det(a: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss).
-
-    Every interior division is exact, so the result is an exact integer.
-    """
-    n = len(a)
-    if n == 0:
-        return 1
-    a = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = next((r for r in range(c, n) if a[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        pivot = a[c][c]
-        for r in range(c + 1, n):
-            arc = a[r][c]
-            row, crow = a[r], a[c]
-            for k in range(c + 1, n):
-                row[k] = (row[k] * pivot - arc * crow[k]) // prev
-            row[c] = 0
-        prev = pivot
-    return sign * a[-1][-1]
 
 
 def _interpolate(xs: list[int], ys: list[Fraction]) -> RationalPoly:
@@ -64,37 +46,93 @@ def _interpolate(xs: list[int], ys: list[Fraction]) -> RationalPoly:
     return poly
 
 
-def char_poly(net: Network) -> RationalPoly:
-    """det(lam*I - H) as an exact monic polynomial.
+_Minor = Callable[[Sequence[int], Sequence[int]], RationalPoly]
 
-    Evaluated at n+1 integer points with fraction-free integer determinants,
-    then interpolated; both stages are exact.
+
+def _minors(net: Network) -> _Minor:
+    """The exact minor engine of lam*I - H for one network.
+
+    The returned `_minor(rows, cols)` takes equally long lists of 0-based
+    sites and gives det (lam*I - H)[rows, cols] as an exact polynomial.  A
+    minor of size m has degree at most m: it is evaluated at m+1 integer
+    points with fraction-free integer determinants of d*(lam*I - H), d the
+    common denominator of H, then interpolated; both stages are exact.
     """
-    n = net.n
-    if n == 0:
-        return RationalPoly.one()
     h = net.hamiltonian()
-    denoms = [e.denominator for row in h for e in row]
-    d = lcm(*denoms) if denoms else 1
+    d = lcm(*(e.denominator for row in h for e in row))
     hs = [[int(e * d) for e in row] for row in h]
-    xs = list(range(n + 1))
-    ys = []
-    dn = d**n
-    for x in xs:
-        b = [
-            [(d * x if i == j else 0) - hs[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-        ys.append(Fraction(_bareiss_det(b), dn))
-    return _interpolate(xs, ys)
+
+    def _minor(rows: Sequence[int], cols: Sequence[int]) -> RationalPoly:
+        m = len(rows)
+        xs = list(range(m + 1))
+        dm = d**m
+        ys = []
+        for x in xs:
+            dx = d * x
+            b = [[(dx if i == j else 0) - hs[i][j] for j in cols] for i in rows]
+            ys.append(Fraction(_bareiss_det(b), dm))
+        return _interpolate(xs, ys)
+
+    return _minor
+
+
+def char_poly(net: Network) -> RationalPoly:
+    """det(lam*I - H) as an exact monic polynomial."""
+    sites = range(net.n)
+    return _minors(net)(sites, sites)
+
+
+def _pair_sites(net: Network, u: int, v: int) -> tuple[_Minor, list[int], list[int], list[int]]:
+    """Minor engine of net and the 0-based site lists C, C+u, C+v of the pair."""
+    net.check_pair(u, v)
+    c = [i for i in range(net.n) if i not in (u - 1, v - 1)]
+    return _minors(net), c, c + [u - 1], c + [v - 1]
 
 
 def is_cospectral(net: Network, u: int, v: int) -> bool:
     """Equal characteristic polynomials after deleting u resp. v."""
-    net.check_pair(u, v)
-    if net.n < 2:
-        raise SpectralError("cospectrality needs at least two vertices")
-    return char_poly(delete_vertex(net, u)) == char_poly(delete_vertex(net, v))
+    minor, _, cu, cv = _pair_sites(net, u, v)
+    return minor(cu, cu) == minor(cv, cv)
+
+
+@dataclass(frozen=True)
+class _PairPolys:
+    """The minors of lam*I - H that describe a cospectral pair (u, v)."""
+
+    d: RationalPoly  # phi(G - {u, v})
+    phi: RationalPoly  # phi(G - u) = phi(G - v), monic of degree n - 1
+    a_uv: RationalPoly  # [adj(lam*I - H)]_uv, of degree below n - 1
+
+    def char_poly(self) -> RationalPoly:
+        """phi(G) by the Jacobi identity phi(G-u) phi(G-v) - A_uv^2 = phi(G) D."""
+        return (self.phi * self.phi - self.a_uv * self.a_uv).exact_div(self.d)
+
+    def reduction_poly(self) -> RationalPoly:
+        """Monic numerator of (a - lam)^2 - b^2 = phi(G)/D in lowest terms."""
+        return _lowest_terms(self.char_poly(), self.d)
+
+    def parity_factors(self) -> tuple[RationalPoly, RationalPoly]:
+        """Monic numerators of a + b - lam = -(phi(G - v) - A_uv)/D and
+        a - b - lam = -(phi(G - v) + A_uv)/D in lowest terms."""
+        return (
+            _lowest_terms(self.phi - self.a_uv, self.d),
+            _lowest_terms(self.phi + self.a_uv, self.d),
+        )
+
+
+def _lowest_terms(num: RationalPoly, den: RationalPoly) -> RationalPoly:
+    return num.exact_div(poly_gcd(num, den)).monic()
+
+
+def _pair_polys(net: Network, u: int, v: int) -> _PairPolys:
+    """D, phi(G - v) and A_uv of a pair; raises unless the pair is cospectral."""
+    minor, c, cu, cv = _pair_sites(net, u, v)
+    phi_v = minor(cu, cu)
+    if minor(cv, cv) != phi_v:
+        raise SpectralError(
+            "reduction is not bisymmetric for this pair (the pair is not cospectral)"
+        )
+    return _PairPolys(d=minor(c, c), phi=phi_v, a_uv=-minor(cu, cv))
 
 
 def is_latent_symmetric(net: Network, u: int, v: int) -> bool:
@@ -133,76 +171,19 @@ class ReductionMatrix:
     b: RationalFunction
 
 
-def _bordered_det(m_rows, y, x, lam_x, n_inner):
-    """det of [[M - lam*I, y], [x^T, 0]] evaluated at lam = lam_x."""
-    size = n_inner + 1
-    rows = []
-    for i in range(n_inner):
-        row = list(m_rows[i])
-        row[i] = row[i] - lam_x
-        row.append(y[i])
-        rows.append(row)
-    rows.append(list(x) + [Fraction(0)])
-    assert len(rows) == size
-    return det_fraction(rows)
-
-
 def isospectral_reduction(net: Network, u: int, v: int) -> ReductionMatrix:
     """Reduce H onto the pair {u, v}: R(lam) = H_SS - H_SC (H_CC - lam I)^-1 H_CS.
 
-    Entries come out as fully reduced rational functions in lam.  Equal
-    diagonal entries are required (they are equal exactly when the pair is
-    cospectral); otherwise this raises.
+    Entries come out as fully reduced rational functions in lam:
+    a = (lam*D - phi(G - v))/D and b = A_uv/D with D = phi(G - {u, v}).
+    Equal diagonal entries are required (they are equal exactly when the pair
+    is cospectral); otherwise this raises.
     """
-    net.check_pair(u, v)
-    n = net.n
-    if n < 2:
-        raise SpectralError("reduction needs at least two vertices")
-    h = net.hamiltonian()
-    ui, vi = u - 1, v - 1
-    if n == 2:
-        if h[ui][ui] != h[vi][vi]:
-            raise SpectralError(
-                "reduction is not bisymmetric for this pair (the pair is not cospectral)"
-            )
-        return ReductionMatrix(
-            a=RationalFunction.from_scalar(h[ui][ui]),
-            b=RationalFunction.from_scalar(h[ui][vi]),
-        )
-    rest = [i for i in range(n) if i not in (ui, vi)]
-    m_rows = [[h[i][j] for j in rest] for i in rest]
-    hu = [h[i][ui] for i in rest]
-    hv = [h[i][vi] for i in rest]
-    k = len(rest)
-
-    # deg(det M) = k; bordered dets have lower degree. k+1 points cover all.
-    xs = list(range(k + 1))
-    det_m, det_uu, det_vv, det_uv = [], [], [], []
-    for x in xs:
-        fx = Fraction(x)
-        rows = []
-        for i in range(k):
-            row = list(m_rows[i])
-            row[i] = row[i] - fx
-            rows.append(row)
-        det_m.append(det_fraction(rows))
-        det_uu.append(_bordered_det(m_rows, hu, hu, fx, k))
-        det_vv.append(_bordered_det(m_rows, hv, hv, fx, k))
-        det_uv.append(_bordered_det(m_rows, hv, hu, fx, k))
-    den = _interpolate(xs, det_m)
-    p_uu = _interpolate(xs, det_uu)
-    p_vv = _interpolate(xs, det_vv)
-    p_uv = _interpolate(xs, det_uv)
-
-    # x^T (M - lam I)^{-1} y = -det([[M - lam I, y],[x^T, 0]]) / det(M - lam I)
-    a_uu = RationalFunction(RationalPoly.const(h[ui][ui]) * den + p_uu, den)
-    a_vv = RationalFunction(RationalPoly.const(h[vi][vi]) * den + p_vv, den)
-    if a_uu != a_vv:
-        raise SpectralError(
-            "reduction is not bisymmetric for this pair (the pair is not cospectral)"
-        )
-    b = RationalFunction(RationalPoly.const(h[ui][vi]) * den + p_uv, den)
-    return ReductionMatrix(a=a_uu, b=b)
+    pair = _pair_polys(net, u, v)
+    return ReductionMatrix(
+        a=RationalFunction(RationalPoly.x() * pair.d - pair.phi, pair.d),
+        b=RationalFunction(pair.a_uv, pair.d),
+    )
 
 
 def reduction_charpoly(red: ReductionMatrix) -> RationalPoly:
@@ -221,5 +202,4 @@ def is_strongly_cospectral(net: Network, u: int, v: int) -> bool:
     """Cospectral and every non-linear eigenvalue of the reduction is simple."""
     if not is_cospectral(net, u, v):
         return False
-    rc = reduction_charpoly(isospectral_reduction(net, u, v))
-    return is_squarefree(rc)
+    return is_squarefree(_pair_polys(net, u, v).reduction_poly())

@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from latsym.cli import analyze_intensities, main
+from latsym.cli import MAX_SCAN_POINTS, analyze_intensities, main
 from latsym.ninesite import build_ninesite
 from latsym.network import serialize_network
 
@@ -226,3 +228,23 @@ def test_missing_required_argument_exits_two(net_file):
     with pytest.raises(SystemExit) as exc:
         main(["cospectral", net_file, "-u", "2"])
     assert exc.value.code == 2
+
+
+def test_scan_boundary_counts_grid_points_exactly(capsys):
+    # (1/4 - 0) / (1/10) = 2.5: the grid is 0, 1/10, 1/5
+    assert main(["scan-boundary", "-k", "1", "-emin", "0", "-emax", "1/4", "-step", "1/10"]) == 0
+    assert "grid points: 3\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "emax, step",
+    [("1", "1e-300"), (str(MAX_SCAN_POINTS), "1")],  # 10^300 + 1 and MAX_SCAN_POINTS + 1 points
+)
+def test_scan_boundary_refuses_oversized_grid(emax, step, capsys):
+    t0 = time.perf_counter()
+    code = main(["scan-boundary", "-k", "27/50", "-emin", "0", "-emax", emax, "-step", step])
+    assert code == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"limit of {MAX_SCAN_POINTS}" in captured.err

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,8 +18,8 @@ from latsym.pgst import (
     parity_decompose,
     pgst_certificate,
 )
-from latsym.polynomial import RationalPoly
-from latsym.spectral import char_poly
+from latsym.polynomial import RationalFunction, RationalPoly
+from latsym.spectral import char_poly, isospectral_reduction
 
 P_MINUS = RationalPoly([Fraction(-729, 1250), 0, 1])
 P_PLUS = RationalPoly(
@@ -240,3 +241,23 @@ def test_boundary_scan_input_validation():
         boundary_scan(build_ninesite, Fraction(0), [Fraction(1)])
     with pytest.raises(PGSTError):
         boundary_scan(build_ninesite, Fraction(1), [])
+
+
+def test_parity_signs_are_negative_on_every_strongly_cospectral_pair(oracle_networks):
+    # a +/- b - lam = -(phi(G - v) -/+ A_uv)/D leads with -1; check it against
+    # RationalFunction arithmetic on the reduction
+    lam = RationalFunction(RationalPoly.x())
+    nets = oracle_networks + [build_ninesite(), path_network(2), path_network(3)]
+    certified = 0
+    for net in nets:
+        for u, v in itertools.permutations(range(1, net.n + 1), 2):
+            cert = pgst_certificate(net, u, v)
+            if not cert.strongly_cospectral:
+                continue
+            certified += 1
+            assert (cert.plus_sign, cert.minus_sign) == (-1, -1)
+            red = isospectral_reduction(net, u, v)
+            plus, minus = red.a + red.b - lam, red.a - red.b - lam
+            assert plus.num.leading < 0 and minus.num.leading < 0
+            assert (plus.num.monic(), minus.num.monic()) == (cert.p_plus, cert.p_minus)
+    assert certified >= 12

@@ -210,3 +210,34 @@ def test_rational_function_constants():
     c = RationalFunction.from_scalar(Fraction(3, 4))
     assert c.is_constant
     assert not RationalFunction(RationalPoly.one(), RationalPoly.x()).is_constant
+
+
+def fraction_sylvester_det(p, q):
+    """Resultant as det_fraction of the Sylvester matrix over Q."""
+    m, n = p.degree, q.degree
+    pc = [p[m - i] for i in range(m + 1)]
+    qc = [q[n - i] for i in range(n + 1)]
+    zero = [Fraction(0)] * (m + n)
+    rows = [zero[:i] + pc + zero[: n - 1 - i] for i in range(n)]
+    rows += [zero[:i] + qc + zero[: m - 1 - i] for i in range(m)]
+    return det_fraction(rows)
+
+
+def test_resultant_matches_fraction_sylvester_determinant():
+    rng = random.Random(17)
+    checked = 0
+    signs = set()
+    for _ in range(200):
+        p = rand_poly(rng, rng.randint(1, 6))
+        q = rand_poly(rng, rng.randint(1, 6))
+        if rng.random() < 0.2:  # force a common factor now and then
+            common = rand_poly(rng, 1)
+            p, q = p * common, q * common
+        if p.degree < 1 or q.degree < 1:
+            continue
+        res = resultant(p, q)
+        assert res == fraction_sylvester_det(p, q)
+        checked += 1
+        signs.add((res > 0) - (res < 0))
+    assert checked >= 150
+    assert signs == {-1, 0, 1}

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from latsym.ninesite import build_ninesite
 from latsym.polynomial import RationalFunction, RationalPoly, det_fraction
 from latsym.spectral import (
     SpectralError,
+    _pair_sites,
     char_poly,
     is_cospectral,
     is_latent_symmetric,
@@ -271,3 +273,94 @@ def test_reduction_is_relabeling_invariant():
     red = isospectral_reduction(shuffled, perm[2], perm[6])
     assert red.a == base.a
     assert red.b == base.b
+
+
+# -- oracle checks of the exact minor engine on seeded random networks --------
+
+
+def sample_points(n):
+    # more points than twice the degree of any reduction entry
+    return [Fraction(2 * j + 1, 7) for j in range(-n - 2, n + 2)]
+
+
+def test_minor_engine_satisfies_jacobi_identity_against_cofactors(oracle_networks):
+    for net in oracle_networks:
+        n = net.n
+        h = net.hamiltonian()
+        phi = char_poly(net)
+        # n+1 points pin down every polynomial of degree <= n
+        points = []
+        for lam in range(n + 1):
+            m = [[(lam if i == j else 0) - h[i][j] for j in range(n)] for i in range(n)]
+
+            def cofactor_det(drop_row, drop_col, m=m):
+                return det_fraction(
+                    [[m[i][j] for j in range(n) if j not in drop_col]
+                     for i in range(n) if i not in drop_row]
+                )
+
+            assert phi(lam) == det_fraction(m)
+            deleted = [cofactor_det({w}, {w}) for w in range(n)]
+            points.append((lam, deleted, cofactor_det))
+        for u, v in itertools.combinations(range(1, n + 1), 2):
+            minor, c, cu, cv = _pair_sites(net, u, v)
+            phi_u, phi_v = minor(cv, cv), minor(cu, cu)
+            d, a_uv = minor(c, c), -minor(cu, cv)
+            assert phi_u * phi_v - a_uv * a_uv == phi * d
+            for lam, deleted, cofactor_det in points:
+                assert phi_u(lam) == deleted[u - 1]
+                assert phi_v(lam) == deleted[v - 1]
+                assert d(lam) == cofactor_det({u - 1, v - 1}, {u - 1, v - 1})
+                # [adj M]_uv = (-1)^(u+v) det(M without row v and column u)
+                assert a_uv(lam) == (-1) ** (u + v) * cofactor_det({v - 1}, {u - 1})
+
+
+def schur_reduction(net, u, v, lam):
+    """(R_uu, R_vv, R_uv) of R(lam) = H_SS - H_SC (H_CC - lam I)^-1 H_CS.
+
+    Each entry uses x^T M^-1 y = -det([[M, y], [x^T, 0]]) / det M with
+    M = H_CC - lam I, by Gaussian elimination over Q; None at a pole.
+    """
+    h = net.hamiltonian()
+    rest = [i for i in range(net.n) if i not in (u - 1, v - 1)]
+    m = [[h[i][j] - (lam if i == j else 0) for j in rest] for i in rest]
+    den = det_fraction(m)
+    if den == 0:
+        return None
+
+    def entry(s, t):
+        bordered = [row + [h[i][t]] for row, i in zip(m, rest)]
+        bordered.append([h[s][j] for j in rest] + [Fraction(0)])
+        return h[s][t] + det_fraction(bordered) / den
+
+    return entry(u - 1, u - 1), entry(v - 1, v - 1), entry(u - 1, v - 1)
+
+
+def test_isospectral_reduction_matches_schur_complement(oracle_networks):
+    cases = [
+        (net, pair)
+        for net in oracle_networks
+        for pair in itertools.combinations(range(1, net.n + 1), 2)
+    ]
+    cases.append((build_ninesite(potential=Fraction(1, 3)), (2, 6)))
+    cospectral_pairs = 0
+    for net, (u, v) in cases:
+        values = (
+            (lam, r)
+            for lam in sample_points(net.n)
+            if (r := schur_reduction(net, u, v, lam)) is not None
+        )
+        try:
+            red = isospectral_reduction(net, u, v)
+        except SpectralError:
+            assert any(r_uu != r_vv for _, (r_uu, r_vv, _) in values)
+            continue
+        cospectral_pairs += 1
+        # agreement at more than 2n points makes the rational functions equal
+        checked = 0
+        for lam, (r_uu, r_vv, r_uv) in values:
+            assert red.a(lam) == r_uu == r_vv
+            assert red.b(lam) == r_uv
+            checked += 1
+        assert checked > 2 * net.n
+    assert cospectral_pairs >= 7
