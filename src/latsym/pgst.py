@@ -15,8 +15,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .network import Network, has_swap_automorphism
-from .polynomial import RationalPoly, is_squarefree, poly_gcd, resultant
-from .spectral import _pair_polys, _PairPolys, is_cospectral
+from .polynomial import RationalPoly, is_squarefree, resultant
+from .spectral import _pair_polys, _PairPolys
 
 CERTIFIED = "CERTIFIED"
 LITERAL_CONDITION_FAILED = "LITERAL_CONDITION_FAILED"
@@ -39,7 +39,7 @@ class ParityDecomposition:
 
 def _decompose(pair: _PairPolys) -> ParityDecomposition:
     p_plus, p_minus = pair.parity_factors()
-    quo, rem = divmod(pair.char_poly(), p_plus * p_minus)
+    quo, rem = divmod(pair.phi_g, p_plus * p_minus)
     if not rem.is_zero:
         raise PGSTError(
             "parity factors do not divide the characteristic polynomial exactly"
@@ -56,9 +56,9 @@ def parity_decompose(net: Network, u: int, v: int) -> ParityDecomposition:
     cancellation, normalized monic with the original leading sign recorded;
     p_zero is recovered by exact division and any remainder aborts.
     """
-    if not is_cospectral(net, u, v):
-        raise PGSTError(f"pair ({u}, {v}) is not cospectral")
     pair = _pair_polys(net, u, v)
+    if pair is None:
+        raise PGSTError(f"pair ({u}, {v}) is not cospectral")
     if not is_squarefree(pair.reduction_poly()):
         raise PGSTError(f"pair ({u}, {v}) is not strongly cospectral")
     return _decompose(pair)
@@ -168,7 +168,8 @@ class PGSTCertificate:
 
 def pgst_certificate(net: Network, u: int, v: int) -> PGSTCertificate:
     """Run the full gate sequence and report how far the pair gets."""
-    cos = is_cospectral(net, u, v)
+    pair = _pair_polys(net, u, v)
+    cos = pair is not None
     swap = has_swap_automorphism(net, u, v)
     cert = PGSTCertificate(u=u, v=v, cospectral=cos, swap_automorphism=swap)
     if not cos:
@@ -176,7 +177,6 @@ def pgst_certificate(net: Network, u: int, v: int) -> PGSTCertificate:
         cert.notes = "the deleted-vertex characteristic polynomials differ"
         return cert
 
-    pair = _pair_polys(net, u, v)
     strong = is_squarefree(pair.reduction_poly())
     cert.strongly_cospectral = strong
     if not strong:
@@ -281,10 +281,12 @@ def boundary_scan(
     points = []
     for e_val in grid:
         pair = _pair_polys(builder(k, e_val), u, v)
+        if pair is None:
+            raise PGSTError(f"pair ({u}, {v}) is not cospectral at E = {e_val}")
         sqf = is_squarefree(pair.reduction_poly())
         p_plus, p_minus = pair.parity_factors()
-        common = poly_gcd(p_plus, p_minus).degree > 0
         res = resultant(p_plus, p_minus)
+        common = res == 0
         sign = 0 if res == 0 else (1 if res > 0 else -1)
         rp = _real_roots(p_plus)
         rm = _real_roots(p_minus)

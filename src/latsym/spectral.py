@@ -1,14 +1,14 @@
 """Exact spectral analysis: characteristic polynomials, cospectrality,
 walk equivalence, and the isospectral reduction onto a site pair.
 
-Every exact polynomial comes from one engine, `_minors`: minors of lam*I - H
-by fraction-free integer determinants at integer lam plus interpolation.  For
-a pair (u, v), with C the other sites, three minors describe everything:
-D = phi(G - {u, v}) on (C, C), phi(G - v) on (C+u, C+u) (equal to phi(G - u)
-on (C+v, C+v) exactly when the pair is cospectral), and
-A_uv = [adj(lam*I - H)]_uv = -minor on (C+u, C+v).  Then a = lam - phi(G - v)/D,
-b = A_uv/D, the Jacobi identity phi(G - u) phi(G - v) - A_uv^2 = phi(G) D gives
-phi(G), and the reduction polynomial is phi(G)/D in lowest terms.
+Every exact polynomial comes from one engine, `_adjugate`: a single
+Faddeev-LeVerrier pass in integers gives phi(G) = det(lam*I - H) and every
+entry of the polynomial adjugate adj(lam*I - H).  For a pair (u, v) the
+diagonal entries are phi(G - u) and phi(G - v) (equal exactly when the pair is
+cospectral), the off-diagonal entry is A_uv, and the Jacobi identity
+phi(G - u) phi(G - v) - A_uv^2 = phi(G) D gives D = phi(G - {u, v}) by exact
+division.  Then a = lam - phi(G - v)/D, b = A_uv/D, and the reduction
+polynomial is phi(G)/D in lowest terms.
 
 Everything in this module is exact rational arithmetic; identical inputs give
 bit-identical outputs.
@@ -17,13 +17,12 @@ bit-identical outputs.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Sequence
+from typing import Callable
 
 from .network import Network, has_swap_automorphism
 from .polynomial import (
     RationalFunction,
     RationalPoly,
-    _bareiss_det,
     is_squarefree,
     poly_gcd,
 )
@@ -33,83 +32,64 @@ class SpectralError(ValueError):
     pass
 
 
-def _interpolate(xs: list[int], ys: list[Fraction]) -> RationalPoly:
-    # Newton divided differences, expanded to the monomial basis
-    m = len(xs)
-    coef = list(ys)
-    for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = RationalPoly()
-    for i in range(m - 1, -1, -1):
-        poly = poly * RationalPoly([-xs[i], 1]) + RationalPoly.const(coef[i])
-    return poly
+def _adjugate(net: Network) -> tuple[RationalPoly, Callable[[int, int], RationalPoly]]:
+    """phi(G) and a reader entry(i, j) of [adj(lam*I - H)]_ij, 0-based sites.
 
-
-_Minor = Callable[[Sequence[int], Sequence[int]], RationalPoly]
-
-
-def _minors(net: Network) -> _Minor:
-    """The exact minor engine of lam*I - H for one network.
-
-    The returned `_minor(rows, cols)` takes equally long lists of 0-based
-    sites and gives det (lam*I - H)[rows, cols] as an exact polynomial.  A
-    minor of size m has degree at most m: it is evaluated at m+1 integer
-    points with fraction-free integer determinants of d*(lam*I - H), d the
-    common denominator of H, then interpolated; both stages are exact.
+    Faddeev-LeVerrier on A = d*H, d the common denominator of H, in Python
+    integers: B_0 = I, c_k = -tr(A B_(k-1))/k (an exact division, since the
+    c_k are the coefficients of det(mu*I - A)) and B_k = A B_(k-1) + c_k I.
+    Then phi(G) = sum c_k/d^k lam^(n-k) and adj(lam*I - H) =
+    sum B_k/d^k lam^(n-1-k).  Every B_k is a polynomial in the symmetric A,
+    so it is symmetric: only the upper triangle of each product is formed,
+    and tr(A B) is read elementwise as the sum of A_ij B_ij.
     """
     h = net.hamiltonian()
+    n = net.n
     d = lcm(*(e.denominator for row in h for e in row))
-    hs = [[int(e * d) for e in row] for row in h]
+    a = [[(j, int(e * d)) for j, e in enumerate(row) if e] for row in h]
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
+    bs, cs = [b], [1]
+    for k in range(1, n + 1):
+        c = -sum(x * b[i][j] for i, row in enumerate(a) for j, x in row) // k
+        cs.append(c)
+        if k == n:
+            break
+        prev, b = b, [[0] * n for _ in range(n)]
+        for i, row in enumerate(a):
+            for j in range(i, n):
+                b[i][j] = b[j][i] = sum(x * prev[l][j] for l, x in row)
+            b[i][i] += c
+        bs.append(b)
+    phi = RationalPoly([Fraction(cs[k], d**k) for k in range(n, -1, -1)])
 
-    def _minor(rows: Sequence[int], cols: Sequence[int]) -> RationalPoly:
-        m = len(rows)
-        xs = list(range(m + 1))
-        dm = d**m
-        ys = []
-        for x in xs:
-            dx = d * x
-            b = [[(dx if i == j else 0) - hs[i][j] for j in cols] for i in rows]
-            ys.append(Fraction(_bareiss_det(b), dm))
-        return _interpolate(xs, ys)
+    def entry(i: int, j: int) -> RationalPoly:
+        return RationalPoly([Fraction(bs[k][i][j], d**k) for k in range(n - 1, -1, -1)])
 
-    return _minor
+    return phi, entry
 
 
 def char_poly(net: Network) -> RationalPoly:
     """det(lam*I - H) as an exact monic polynomial."""
-    sites = range(net.n)
-    return _minors(net)(sites, sites)
-
-
-def _pair_sites(net: Network, u: int, v: int) -> tuple[_Minor, list[int], list[int], list[int]]:
-    """Minor engine of net and the 0-based site lists C, C+u, C+v of the pair."""
-    net.check_pair(u, v)
-    c = [i for i in range(net.n) if i not in (u - 1, v - 1)]
-    return _minors(net), c, c + [u - 1], c + [v - 1]
+    return _adjugate(net)[0]
 
 
 def is_cospectral(net: Network, u: int, v: int) -> bool:
     """Equal characteristic polynomials after deleting u resp. v."""
-    minor, _, cu, cv = _pair_sites(net, u, v)
-    return minor(cu, cu) == minor(cv, cv)
+    return _pair_polys(net, u, v) is not None
 
 
 @dataclass(frozen=True)
 class _PairPolys:
-    """The minors of lam*I - H that describe a cospectral pair (u, v)."""
+    """The adjugate entries that describe a cospectral pair (u, v)."""
 
+    phi_g: RationalPoly  # phi(G)
     d: RationalPoly  # phi(G - {u, v})
     phi: RationalPoly  # phi(G - u) = phi(G - v), monic of degree n - 1
     a_uv: RationalPoly  # [adj(lam*I - H)]_uv, of degree below n - 1
 
-    def char_poly(self) -> RationalPoly:
-        """phi(G) by the Jacobi identity phi(G-u) phi(G-v) - A_uv^2 = phi(G) D."""
-        return (self.phi * self.phi - self.a_uv * self.a_uv).exact_div(self.d)
-
     def reduction_poly(self) -> RationalPoly:
         """Monic numerator of (a - lam)^2 - b^2 = phi(G)/D in lowest terms."""
-        return _lowest_terms(self.char_poly(), self.d)
+        return _lowest_terms(self.phi_g, self.d)
 
     def parity_factors(self) -> tuple[RationalPoly, RationalPoly]:
         """Monic numerators of a + b - lam = -(phi(G - v) - A_uv)/D and
@@ -124,15 +104,21 @@ def _lowest_terms(num: RationalPoly, den: RationalPoly) -> RationalPoly:
     return num.exact_div(poly_gcd(num, den)).monic()
 
 
-def _pair_polys(net: Network, u: int, v: int) -> _PairPolys:
-    """D, phi(G - v) and A_uv of a pair; raises unless the pair is cospectral."""
-    minor, c, cu, cv = _pair_sites(net, u, v)
-    phi_v = minor(cu, cu)
-    if minor(cv, cv) != phi_v:
-        raise SpectralError(
-            "reduction is not bisymmetric for this pair (the pair is not cospectral)"
-        )
-    return _PairPolys(d=minor(c, c), phi=phi_v, a_uv=-minor(cu, cv))
+def _pair_polys(net: Network, u: int, v: int) -> _PairPolys | None:
+    """The polynomials of a pair from one adjugate pass; None unless cospectral.
+
+    phi(G - u) and phi(G - v) are the diagonal entries adj_uu and adj_vv, and
+    D = phi(G - {u, v}) follows from the Jacobi identity
+    adj_uu adj_vv - adj_uv^2 = phi(G) D by exact division.
+    """
+    net.check_pair(u, v)
+    phi_g, entry = _adjugate(net)
+    phi_v = entry(v - 1, v - 1)
+    if entry(u - 1, u - 1) != phi_v:
+        return None
+    a_uv = entry(u - 1, v - 1)
+    d = (phi_v * phi_v - a_uv * a_uv).exact_div(phi_g)
+    return _PairPolys(phi_g=phi_g, d=d, phi=phi_v, a_uv=a_uv)
 
 
 def is_latent_symmetric(net: Network, u: int, v: int) -> bool:
@@ -180,6 +166,10 @@ def isospectral_reduction(net: Network, u: int, v: int) -> ReductionMatrix:
     is cospectral); otherwise this raises.
     """
     pair = _pair_polys(net, u, v)
+    if pair is None:
+        raise SpectralError(
+            "reduction is not bisymmetric for this pair (the pair is not cospectral)"
+        )
     return ReductionMatrix(
         a=RationalFunction(RationalPoly.x() * pair.d - pair.phi, pair.d),
         b=RationalFunction(pair.a_uv, pair.d),
@@ -200,6 +190,5 @@ def reduction_charpoly(red: ReductionMatrix) -> RationalPoly:
 
 def is_strongly_cospectral(net: Network, u: int, v: int) -> bool:
     """Cospectral and every non-linear eigenvalue of the reduction is simple."""
-    if not is_cospectral(net, u, v):
-        return False
-    return is_squarefree(_pair_polys(net, u, v).reduction_poly())
+    pair = _pair_polys(net, u, v)
+    return pair is not None and is_squarefree(pair.reduction_poly())

@@ -30,21 +30,24 @@ def _hamiltonian_matrix(net: Network) -> np.ndarray:
 def eigh(net: Network, tol: float = 1e-12, max_sweeps: int = 100) -> EigenSystem:
     """Cyclic Jacobi diagonalization of the (real symmetric) Hamiltonian.
 
-    Sweeps until every off-diagonal magnitude is below tol; raises after
-    max_sweeps.  Eigenpairs are returned sorted ascending.
+    Sweeps until every off-diagonal magnitude is at most tol times the
+    largest |H_ij|, so the criterion is the same at every coupling scale (and
+    H = 0 is diagonal at once); raises after max_sweeps.  Eigenpairs are
+    returned sorted ascending.
     """
     h = _hamiltonian_matrix(net)
     n = h.shape[0]
+    scale = float(np.abs(h).max()) if n else 0.0
     a = h.copy()
     q = np.eye(n)
     off_mask = ~np.eye(n, dtype=bool)
     for _ in range(max_sweeps):
-        if n < 2 or np.abs(a[off_mask]).max() < tol:
+        if n < 2 or np.abs(a[off_mask]).max() <= tol * scale:
             break
         for p in range(n - 1):
             for r in range(p + 1, n):
                 apr = a[p, r]
-                if abs(apr) < 1e-300:
+                if apr == 0.0:
                     continue
                 theta = (a[r, r] - a[p, p]) / (2.0 * apr)
                 if theta == 0.0:
@@ -67,7 +70,7 @@ def eigh(net: Network, tol: float = 1e-12, max_sweeps: int = 100) -> EigenSystem
                 q[:, r] = s * col_p + c * q[:, r]
     else:
         residual = float(np.abs(a[off_mask]).max()) if n >= 2 else 0.0
-        if residual >= tol:
+        if residual > tol * scale:
             raise ConvergenceError(
                 f"Jacobi sweeps did not converge: off-diagonal residual {residual:g}"
             )
@@ -78,7 +81,7 @@ def eigh(net: Network, tol: float = 1e-12, max_sweeps: int = 100) -> EigenSystem
     if n:
         if np.abs(q.T @ q - np.eye(n)).max() > 1e-10:
             raise ConvergenceError("eigenvector matrix lost orthonormality")
-        if np.abs(q @ np.diag(evals) @ q.T - h).max() > 1e-10:
+        if np.abs(q @ np.diag(evals) @ q.T - h).max() > 1e-10 * scale:
             raise ConvergenceError("spectral reconstruction drifted from H")
     return EigenSystem(eigenvalues=evals, eigenvectors=q, n=n)
 

@@ -18,8 +18,15 @@ from latsym.pgst import (
     parity_decompose,
     pgst_certificate,
 )
-from latsym.polynomial import RationalFunction, RationalPoly
-from latsym.spectral import char_poly, isospectral_reduction
+from latsym import spectral
+from latsym.polynomial import RationalFunction, RationalPoly, poly_gcd
+from latsym.spectral import (
+    _pair_polys,
+    char_poly,
+    is_cospectral,
+    is_strongly_cospectral,
+    isospectral_reduction,
+)
 
 P_MINUS = RationalPoly([Fraction(-729, 1250), 0, 1])
 P_PLUS = RationalPoly(
@@ -241,6 +248,59 @@ def test_boundary_scan_input_validation():
         boundary_scan(build_ninesite, Fraction(0), [Fraction(1)])
     with pytest.raises(PGSTError):
         boundary_scan(build_ninesite, Fraction(1), [])
+    with pytest.raises(PGSTError, match="not cospectral at E = 1"):
+        boundary_scan(build_ninesite, Fraction(1), [Fraction(1)], u=1, v=5)
+
+
+def twin_chains(k, e):
+    return Network(4, [e, Fraction(0), e, Fraction(0)], [(1, 2, k), (3, 4, k)])
+
+
+def test_boundary_common_factor_is_a_zero_resultant():
+    # the ends of two identical chains share every parity eigenvalue
+    grid = [Fraction(-1, 10), Fraction(0), Fraction(241, 100)]
+    for builder, u, v in ((twin_chains, 1, 3), (build_ninesite, 2, 6)):
+        report = boundary_scan(builder, Fraction(27, 50), grid, u=u, v=v)
+        for point in report.points:
+            p_plus, p_minus = _pair_polys(
+                builder(Fraction(27, 50), point.potential), u, v
+            ).parity_factors()
+            common = poly_gcd(p_plus, p_minus).degree > 0
+            assert point.parity_common_factor == common == (builder is twin_chains)
+
+
+def test_one_adjugate_pass_per_public_call(monkeypatch):
+    calls = []
+    engine = spectral._adjugate
+
+    def counted(net):
+        calls.append(net.n)
+        return engine(net)
+
+    monkeypatch.setattr(spectral, "_adjugate", counted)
+    twins = Network(4, [Fraction(0)] * 4, [(1, 2, Fraction(1)), (3, 4, Fraction(1))])
+    cases = [
+        (pgst_certificate, build_ninesite(), 2, 6),  # certified
+        (pgst_certificate, path_network(3), 1, 3),  # literal condition fails
+        (pgst_certificate, twins, 1, 3),  # not strongly cospectral
+        (pgst_certificate, path_network(3), 1, 2),  # not cospectral
+        (parity_decompose, build_ninesite(), 2, 6),
+        (is_strongly_cospectral, build_ninesite(), 2, 6),
+        (is_strongly_cospectral, twins, 1, 3),
+        (is_strongly_cospectral, path_network(3), 1, 2),
+        (is_cospectral, build_ninesite(), 2, 6),
+        (isospectral_reduction, build_ninesite(), 2, 6),
+    ]
+    for fn, net, u, v in cases:
+        calls.clear()
+        fn(net, u, v)
+        assert len(calls) == 1, fn.__name__
+    calls.clear()
+    char_poly(build_ninesite())
+    assert len(calls) == 1
+    calls.clear()
+    boundary_scan(build_ninesite, Fraction(1), frange(5, 6, "1/2"))
+    assert len(calls) == 3
 
 
 def test_parity_signs_are_negative_on_every_strongly_cospectral_pair(oracle_networks):

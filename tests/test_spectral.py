@@ -9,7 +9,8 @@ from latsym.ninesite import build_ninesite
 from latsym.polynomial import RationalFunction, RationalPoly, det_fraction
 from latsym.spectral import (
     SpectralError,
-    _pair_sites,
+    _adjugate,
+    _pair_polys,
     char_poly,
     is_cospectral,
     is_latent_symmetric,
@@ -275,7 +276,7 @@ def test_reduction_is_relabeling_invariant():
     assert red.b == base.b
 
 
-# -- oracle checks of the exact minor engine on seeded random networks --------
+# -- oracle checks of the exact adjugate engine on seeded random networks -----
 
 
 def sample_points(n):
@@ -283,11 +284,19 @@ def sample_points(n):
     return [Fraction(2 * j + 1, 7) for j in range(-n - 2, n + 2)]
 
 
+SMALL_NETWORKS = [
+    Network(1, [Fraction(5, 3)], []),
+    Network(2, [Fraction(-1, 2), Fraction(2, 3)], [(1, 2, Fraction(3, 4))]),
+    path_network(2, k=Fraction(3, 5)),
+]
+
+
 def test_minor_engine_satisfies_jacobi_identity_against_cofactors(oracle_networks):
-    for net in oracle_networks:
+    for net in SMALL_NETWORKS + oracle_networks:
         n = net.n
         h = net.hamiltonian()
-        phi = char_poly(net)
+        phi, entry = _adjugate(net)
+        assert phi == char_poly(net)
         # n+1 points pin down every polynomial of degree <= n
         points = []
         for lam in range(n + 1):
@@ -302,10 +311,15 @@ def test_minor_engine_satisfies_jacobi_identity_against_cofactors(oracle_network
             assert phi(lam) == det_fraction(m)
             deleted = [cofactor_det({w}, {w}) for w in range(n)]
             points.append((lam, deleted, cofactor_det))
+        for i, j in itertools.product(range(n), repeat=2):
+            # [adj M]_ij = (-1)^(i+j) det(M without row j and column i)
+            adj_ij = entry(i, j)
+            for lam, _, cofactor_det in points:
+                assert adj_ij(lam) == (-1) ** (i + j) * cofactor_det({j}, {i})
         for u, v in itertools.combinations(range(1, n + 1), 2):
-            minor, c, cu, cv = _pair_sites(net, u, v)
-            phi_u, phi_v = minor(cv, cv), minor(cu, cu)
-            d, a_uv = minor(c, c), -minor(cu, cv)
+            phi_u, phi_v = entry(u - 1, u - 1), entry(v - 1, v - 1)
+            a_uv = entry(u - 1, v - 1)
+            d = (phi_u * phi_v - a_uv * a_uv).exact_div(phi)
             assert phi_u * phi_v - a_uv * a_uv == phi * d
             for lam, deleted, cofactor_det in points:
                 assert phi_u(lam) == deleted[u - 1]
@@ -313,6 +327,46 @@ def test_minor_engine_satisfies_jacobi_identity_against_cofactors(oracle_network
                 assert d(lam) == cofactor_det({u - 1, v - 1}, {u - 1, v - 1})
                 # [adj M]_uv = (-1)^(u+v) det(M without row v and column u)
                 assert a_uv(lam) == (-1) ** (u + v) * cofactor_det({v - 1}, {u - 1})
+            pair = _pair_polys(net, u, v)
+            assert (pair is not None) == (phi_u == phi_v)
+            if pair is not None:
+                assert (pair.phi_g, pair.d, pair.phi, pair.a_uv) == (phi, d, phi_v, a_uv)
+
+
+def test_exact_engine_at_extreme_couplings():
+    # strong and tiny couplings in one network; the mirror-symmetric 4-site
+    # chain makes (1, 4) cospectral while (1, 2) is not
+    big, tiny = Fraction(10**7), Fraction(1, 10**13)
+    nets = [
+        path_network(3, k=big),
+        Network(2, [Fraction(0)] * 2, [(1, 2, tiny)]),
+        Network(
+            4,
+            [Fraction(1, 3), Fraction(-2), Fraction(-2), Fraction(1, 3)],
+            [(1, 2, big), (2, 3, tiny), (3, 4, big)],
+        ),
+    ]
+    for net in nets:
+        n = net.n
+        h = net.hamiltonian()
+        p = char_poly(net)
+        for lam in [Fraction(j * 10**6 + 1, 3) for j in range(-n, n + 1)] + [tiny, -tiny]:
+            m = [[(lam if i == j else 0) - h[i][j] for j in range(n)] for i in range(n)]
+            assert p(lam) == det_fraction(m)
+
+        def deleted(w, lam):
+            return det_fraction(
+                [[(lam if i == j else 0) - h[i][j] for j in range(n) if j != w - 1]
+                 for i in range(n) if i != w - 1]
+            )
+
+        for u, v in itertools.combinations(range(1, n + 1), 2):
+            equal = all(
+                deleted(u, Fraction(lam)) == deleted(v, Fraction(lam)) for lam in range(n + 1)
+            )
+            assert is_cospectral(net, u, v) == equal
+    assert is_cospectral(nets[2], 1, 4)
+    assert not is_cospectral(nets[2], 1, 2)
 
 
 def schur_reduction(net, u, v, lam):

@@ -81,6 +81,29 @@ def test_eigh_reports_non_convergence():
         eigh(path_network(2), max_sweeps=0)
 
 
+@pytest.mark.parametrize(
+    "net",
+    [
+        Network(3, [Fraction(0)] * 3, [(1, 2, Fraction(10**7)), (2, 3, Fraction(3 * 10**6))]),
+        Network(2, [Fraction(0)] * 2, [(1, 2, Fraction(1, 10**13))]),
+        Network(3, [Fraction(1, 10**12), Fraction(0), Fraction(0)], [(2, 3, Fraction(1, 10**13))]),
+    ],
+)
+def test_eigh_tolerances_scale_with_the_couplings(net):
+    h = np.array([[float(x) for x in row] for row in net.hamiltonian()])
+    scale = np.abs(h).max()
+    sys = eigh(net)
+    assert np.abs(sys.eigenvalues - np.linalg.eigvalsh(h)).max() <= 1e-12 * scale
+    q = sys.eigenvectors
+    assert np.abs(q @ np.diag(sys.eigenvalues) @ q.T - h).max() <= 1e-12 * scale
+
+
+def test_eigh_zero_hamiltonian():
+    sys = eigh(Network(3, [Fraction(0)] * 3, []), max_sweeps=0)
+    assert np.array_equal(sys.eigenvalues, np.zeros(3))
+    assert np.array_equal(sys.eigenvectors, np.eye(3))
+
+
 def test_evolve_preserves_norm_and_matches_operator():
     rng = random.Random(15)
     net = build_ninesite()
