@@ -35,6 +35,11 @@ from .walk import eigh, envelope_scan, evolution_operator
 # refused before any work rather than left running.
 MAX_SCAN_POINTS = 10_000
 
+# Largest `evolve` grid, in rows times sites.  The probabilities are held in
+# memory as complex amplitudes before they are written, so a larger grid is
+# refused before any array is built.
+MAX_EVOLVE_VALUES = 10_000_000
+
 
 def _g17(x: float) -> str:
     # 17 significant digits: doubles round-trip losslessly
@@ -126,10 +131,18 @@ def _cmd_scan_boundary(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    if not (args.step > 0 and args.tmax >= 0):
+        raise ValueError("need step > 0 and tmax >= 0")
     net = _load_network(args.network)
     net.check_vertex(args.from_site)
+    ratio = args.tmax / args.step
+    n_rows = math.floor(ratio + 1e-9) + 1 if math.isfinite(ratio) else math.inf
+    if n_rows * net.n > MAX_EVOLVE_VALUES:
+        raise ValueError(
+            f"grid has {n_rows} rows of {net.n} sites, more than the limit of "
+            f"{MAX_EVOLVE_VALUES} values"
+        )
     sys_ = eigh(net)
-    n_rows = int(math.floor(args.tmax / args.step + 1e-9)) + 1
     taus = np.arange(n_rows) * args.step
     coef = sys_.eigenvectors[args.from_site - 1]
     amps = (np.exp(-1j * np.outer(taus, sys_.eigenvalues)) * coef) @ sys_.eigenvectors.T
@@ -264,7 +277,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-step", required=True, help="grid step, rational")
     p.set_defaults(func=_cmd_scan_boundary)
 
-    p = sub.add_parser("evolve", help="per-site probabilities over time")
+    p = sub.add_parser(
+        "evolve", help=f"per-site probabilities over time (at most {MAX_EVOLVE_VALUES} values)"
+    )
     p.add_argument("network")
     p.add_argument("--from", dest="from_site", metavar="SITE", type=int, required=True)
     p.add_argument("--tmax", type=float, required=True)

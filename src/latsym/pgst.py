@@ -271,7 +271,8 @@ def boundary_scan(
     common factor of the parity numerators are tested exactly.  The genuinely
     failing E are irrational, so between grid points the failures are bracketed
     by sign changes of the exact resultant of the parity factors (equivalently,
-    by the dip of the numeric minimum root distance through zero).
+    by the dip of the numeric minimum root distance through zero), compared
+    between points whose parity factors have the same degrees.
     """
     if k == 0:
         raise PGSTError("coupling k must be nonzero")
@@ -279,6 +280,7 @@ def boundary_scan(
     if not grid:
         raise PGSTError("empty potential grid")
     points = []
+    degrees = []
     for e_val in grid:
         pair = _pair_polys(builder(k, e_val), u, v)
         if pair is None:
@@ -290,6 +292,7 @@ def boundary_scan(
         sign = 0 if res == 0 else (1 if res > 0 else -1)
         rp = _real_roots(p_plus)
         rm = _real_roots(p_minus)
+        degrees.append((p_plus.degree, p_minus.degree))
         dist = float(np.abs(rp[:, None] - rm[None, :]).min())
         points.append(
             BoundaryPoint(
@@ -302,14 +305,19 @@ def boundary_scan(
             )
         )
     failures = tuple(p.potential for p in points if not p.strongly_cospectral)
+    # A parity factor that loses its leading term at some E (P+ at E = 0 on
+    # the nine-site network) flips the resultant's sign with no root crossing,
+    # so a sign is compared only with the last point of the same degrees.
     brackets = []
-    for a, b in zip(points, points[1:]):
-        if a.resultant_sign * b.resultant_sign < 0:
-            brackets.append((a.potential, b.potential))
-        elif a.resultant_sign == 0:
-            brackets.append((a.potential, a.potential))
-    if points and points[-1].resultant_sign == 0:
-        brackets.append((points[-1].potential, points[-1].potential))
+    last: dict[tuple[int, int], BoundaryPoint] = {}
+    for point, degs in zip(points, degrees):
+        prev = last.get(degs)
+        if point.resultant_sign == 0:
+            brackets.append((point.potential, point.potential))
+        elif prev is not None and prev.resultant_sign * point.resultant_sign < 0:
+            brackets.append((prev.potential, point.potential))
+        last[degs] = point
+    brackets.sort()
     return BoundaryReport(
         coupling=Fraction(k),
         points=tuple(points),

@@ -179,8 +179,10 @@ def correlation_matrix(
 
     The physical preparation chain is applied in order: beam splitter on the
     pair, phase on the second site of the pair, then net_u.  Entries are the
-    raw permanent scores (no factorial prefactors); "halved" comparison mode
-    divides the off-diagonal entries by two.
+    raw permanent scores (no factorial prefactors), in closed form with
+    A_ij = U_iu U_jv: |A_ij + A_ji|^2 for bosons and |A_ij|^2 + |A_ji|^2 for
+    distinguishable photons.  "halved" comparison mode divides the
+    off-diagonal entries by two.
     """
     stats = _canon_stats(statistics)
     if comparison_mode not in ("raw", "halved"):
@@ -188,18 +190,11 @@ def correlation_matrix(
     u_site, v_site = bs_sites
     u_tot = total_unitary(net_u, bs_sites, phase_site=v_site, phase=phase)
     n = u_tot.shape[0]
-    r = [0] * n
-    r[u_site - 1] += 1
-    r[v_site - 1] += 1
-    values = np.zeros((n, n))
-    for i, j, s in two_photon_outputs(n):
-        m = _scattering_submatrix(r, s, u_tot)
-        if stats == BOSONIC:
-            val = abs(permanent(m)) ** 2
-        else:
-            val = permanent(np.abs(m) ** 2).real
-        values[i - 1, j - 1] = val
-        values[j - 1, i - 1] = val
+    a = np.outer(u_tot[:, u_site - 1], u_tot[:, v_site - 1])
+    if stats == BOSONIC:
+        values = np.abs(a + a.T) ** 2
+    else:
+        values = np.abs(a) ** 2 + np.abs(a.T) ** 2
     if comparison_mode == "halved":
         off = ~np.eye(n, dtype=bool)
         values[off] *= 0.5

@@ -1,7 +1,8 @@
 """Continuous-time quantum-walk engine on network Hamiltonians.
 
-Double-precision throughout.  Site arguments are 1-based to match the network
-layer; raw state vectors are plain 0-based numpy arrays.
+Double-precision throughout; the spectrum comes from LAPACK through
+numpy.linalg.eigh.  Site arguments are 1-based to match the network layer and
+must lie in 1..n; raw state vectors are plain 0-based numpy arrays.
 """
 
 from dataclasses import dataclass
@@ -27,63 +28,33 @@ def _hamiltonian_matrix(net: Network) -> np.ndarray:
     return np.array([[float(x) for x in row] for row in net.hamiltonian()])
 
 
-def eigh(net: Network, tol: float = 1e-12, max_sweeps: int = 100) -> EigenSystem:
-    """Cyclic Jacobi diagonalization of the (real symmetric) Hamiltonian.
+def eigh(net: Network) -> EigenSystem:
+    """Diagonalize the (real symmetric) Hamiltonian with LAPACK (numpy.linalg.eigh).
 
-    Sweeps until every off-diagonal magnitude is at most tol times the
-    largest |H_ij|, so the criterion is the same at every coupling scale (and
-    H = 0 is diagonal at once); raises after max_sweeps.  Eigenpairs are
-    returned sorted ascending.
+    Eigenpairs are returned sorted ascending.  The result must be orthonormal
+    to 1e-10 and reconstruct H to 1e-10 times the largest |H_ij|; a LAPACK
+    failure or a result outside either bound raises ConvergenceError.
     """
-    h = _hamiltonian_matrix(net)
-    n = h.shape[0]
-    scale = float(np.abs(h).max()) if n else 0.0
-    a = h.copy()
-    q = np.eye(n)
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        if n < 2 or np.abs(a[off_mask]).max() <= tol * scale:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                if apr == 0.0:
-                    continue
-                theta = (a[r, r] - a[p, p]) / (2.0 * apr)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_r = a[:, r].copy()
-                a[:, p] = c * col_p - s * col_r
-                a[:, r] = s * col_p + c * col_r
-                row_p = a[p, :].copy()
-                row_r = a[r, :].copy()
-                a[p, :] = c * row_p - s * row_r
-                a[r, :] = s * row_p + c * row_r
-                a[p, r] = a[r, p] = 0.0
-                col_p = q[:, p].copy()
-                q[:, p] = c * col_p - s * q[:, r]
-                q[:, r] = s * col_p + c * q[:, r]
-    else:
-        residual = float(np.abs(a[off_mask]).max()) if n >= 2 else 0.0
-        if residual > tol * scale:
-            raise ConvergenceError(
-                f"Jacobi sweeps did not converge: off-diagonal residual {residual:g}"
-            )
-    evals = np.diag(a).copy()
-    order = np.argsort(evals, kind="stable")
-    evals = evals[order]
-    q = q[:, order]
+    n = net.n
+    h = _hamiltonian_matrix(net).reshape(n, n)
+    try:
+        evals, q = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigh failed: {exc}") from exc
     if n:
+        scale = float(np.abs(h).max())
         if np.abs(q.T @ q - np.eye(n)).max() > 1e-10:
             raise ConvergenceError("eigenvector matrix lost orthonormality")
         if np.abs(q @ np.diag(evals) @ q.T - h).max() > 1e-10 * scale:
             raise ConvergenceError("spectral reconstruction drifted from H")
     return EigenSystem(eigenvalues=evals, eigenvectors=q, n=n)
+
+
+def _check_sites(sys: EigenSystem, *sites: int) -> None:
+    # numpy would read site 0 as the last row; refuse it rather than wrap
+    for site in sites:
+        if not 1 <= site <= sys.n:
+            raise ValueError(f"site {site} out of range 1..{sys.n}")
 
 
 def evolve(sys: EigenSystem, tau: float, psi0: np.ndarray) -> np.ndarray:
@@ -102,12 +73,14 @@ def evolution_operator(sys: EigenSystem, tau: float) -> np.ndarray:
 
 def fidelity(sys: EigenSystem, u: int, v: int, tau: float) -> float:
     """|U_{u,v}(tau)|^2 — probability of finding at u a walker launched at v."""
+    _check_sites(sys, u, v)
     c = sys.eigenvectors[u - 1] * sys.eigenvectors[v - 1]
     amp = np.sum(c * np.exp(-1j * sys.eigenvalues * tau))
     return float(abs(amp) ** 2)
 
 
 def fidelity_curve(sys: EigenSystem, u: int, v: int, taus: np.ndarray) -> np.ndarray:
+    _check_sites(sys, u, v)
     c = sys.eigenvectors[u - 1] * sys.eigenvectors[v - 1]
     amp = np.exp(-1j * np.outer(taus, sys.eigenvalues)) @ c
     return np.abs(amp) ** 2
@@ -165,6 +138,7 @@ def envelope_scan(
     """
     if tau_max <= 0 or coarse_step <= 0:
         raise ValueError("tau_max and coarse_step must be positive")
+    _check_sites(sys, u, v)
     n_samples = int(np.floor(tau_max / coarse_step + 1e-9)) + 1
 
     keep = np.unique(
@@ -234,13 +208,14 @@ def antisymmetric_confinement(
     sys: EigenSystem, u: int, v: int, singlets: Iterable[int], tau_grid: np.ndarray
 ) -> float:
     """Max |psi_w(tau)| over singlet sites w for the input (e_u - e_v)/sqrt(2)."""
-    rows = sorted(int(s) - 1 for s in singlets)
-    if not rows:
+    sites = sorted(int(s) for s in singlets)
+    if not sites:
         raise ValueError("no singlet sites supplied")
+    _check_sites(sys, u, v, *sites)
     taus = np.asarray(tau_grid, dtype=float)
     coef = (sys.eigenvectors[u - 1] - sys.eigenvectors[v - 1]) / np.sqrt(2.0)
     phases = np.exp(-1j * np.outer(taus, sys.eigenvalues))
-    amps = (phases * coef) @ sys.eigenvectors[rows].T
+    amps = (phases * coef) @ sys.eigenvectors[[s - 1 for s in sites]].T
     return float(np.abs(amps).max())
 
 
@@ -252,6 +227,7 @@ def eigenprojector_parity(
     Eigenvalues closer than cluster_tol (scaled by the spectral radius) are
     treated as one degenerate cluster and tested through their projector.
     """
+    _check_sites(sys, u, v)
     lam = sys.eigenvalues
     scale = max(1.0, float(np.abs(lam).max())) if sys.n else 1.0
     tol = cluster_tol * scale

@@ -2,7 +2,8 @@ import time
 
 import pytest
 
-from latsym.cli import MAX_SCAN_POINTS, analyze_intensities, main
+from latsym import cli
+from latsym.cli import MAX_EVOLVE_VALUES, MAX_SCAN_POINTS, analyze_intensities, main
 from latsym.ninesite import build_ninesite
 from latsym.network import serialize_network
 
@@ -248,3 +249,50 @@ def test_scan_boundary_refuses_oversized_grid(emax, step, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"limit of {MAX_SCAN_POINTS}" in captured.err
+
+
+@pytest.mark.parametrize("tmax, step", [("1", "0"), ("1", "-0.1"), ("-1", "0.1"), ("nan", "0.1")])
+def test_evolve_refuses_invalid_grid(chain2_file, tmp_path, capsys, tmax, step):
+    out = tmp_path / "probs.csv"
+    code = main(
+        ["evolve", chain2_file, "--from", "1", "--tmax", tmax, "--step", step, "--out", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need step > 0 and tmax >= 0" in captured.err
+    assert not out.exists()
+
+
+def _no_eigh(net):
+    raise AssertionError("evolve diagonalized H for a grid it should refuse")
+
+
+@pytest.mark.parametrize(
+    "tmax, step",
+    [("1e12", "1"), ("1", "1e-300"), ("1e300", "1e-300"), ("inf", "1")],
+)
+def test_evolve_refuses_oversized_grid_before_any_work(
+    net_file, tmp_path, capsys, monkeypatch, tmax, step
+):
+    monkeypatch.setattr(cli, "eigh", _no_eigh)
+    out = tmp_path / "probs.csv"
+    code = main(
+        ["evolve", net_file, "--from", "2", "--tmax", tmax, "--step", step, "--out", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"more than the limit of {MAX_EVOLVE_VALUES} values" in captured.err
+    assert not out.exists()
+
+
+def test_evolve_cap_counts_rows_times_sites(chain2_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_EVOLVE_VALUES", 6)
+    out = str(tmp_path / "probs.csv")
+    argv = ["evolve", chain2_file, "--from", "1", "--step", "0.5", "--out", out]
+    # 3 rows x 2 sites is at the cap, 4 rows x 2 sites is over it
+    assert main(argv + ["--tmax", "1"]) == 0
+    assert capsys.readouterr().out == f"wrote 3 rows to {out}\n"
+    assert main(argv + ["--tmax", "1.5"]) == 2
+    assert "grid has 4 rows of 2 sites, more than the limit of 6 values" in capsys.readouterr().err

@@ -243,6 +243,21 @@ def test_boundary_root_distance_dips_near_breakdown():
     assert far.points[0].min_root_distance > 0.1
 
 
+def test_boundary_scan_ignores_sign_flip_where_a_parity_factor_drops_a_degree():
+    # at E = 0 the nine-site P+ has degree 6 instead of 7, which flips the
+    # resultant's sign although no parity eigenvalues cross
+    grid = [Fraction(-1, 100), Fraction(0), Fraction(1, 100)]
+    report = boundary_scan(build_ninesite, Fraction(27, 50), grid)
+    assert [p.resultant_sign for p in report.points] == [-1, 1, -1]
+    assert report.brackets == ()
+    # the real crossings on either side are still bracketed
+    wide = boundary_scan(build_ninesite, Fraction(27, 50), frange("-1/4", "1/4", "1/100"))
+    assert wide.brackets == (
+        (Fraction(-23, 100), Fraction(-11, 50)),
+        (Fraction(11, 50), Fraction(23, 100)),
+    )
+
+
 def test_boundary_scan_input_validation():
     with pytest.raises(PGSTError):
         boundary_scan(build_ninesite, Fraction(0), [Fraction(1)])

@@ -10,6 +10,7 @@ from latsym.ninesite import build_ninesite
 from latsym.photons import (
     BOSONIC,
     DISTINGUISHABLE,
+    _scattering_submatrix,
     assignment_list,
     beam_splitter_unitary,
     correlation_matrix,
@@ -205,6 +206,43 @@ def test_quarter_phase_freezes_parity_supermodes():
     revived = correlation_matrix(u, (1, 2), phase=0.0).values
     assert revived[0, 1] == pytest.approx(1.0, abs=1e-12)
     assert revived[0, 0] == pytest.approx(0.0, abs=1e-12)
+
+
+def correlation_by_permanents(net_u, bs_sites, phase, statistics, comparison_mode):
+    """Every two-photon output scored by its own permanent."""
+    u_tot = total_unitary(net_u, bs_sites, phase_site=bs_sites[1], phase=phase)
+    n = u_tot.shape[0]
+    r = [0] * n
+    for site in bs_sites:
+        r[site - 1] += 1
+    values = np.zeros((n, n))
+    for i, j, s in two_photon_outputs(n):
+        m = _scattering_submatrix(r, s, u_tot)
+        if statistics == BOSONIC:
+            val = abs(permanent(m)) ** 2
+        else:
+            val = permanent(np.abs(m) ** 2).real
+        if i != j and comparison_mode == "halved":
+            val /= 2
+        values[i - 1, j - 1] = values[j - 1, i - 1] = val
+    return values
+
+
+@pytest.mark.parametrize("statistics", [BOSONIC, DISTINGUISHABLE])
+@pytest.mark.parametrize("comparison_mode", ["raw", "halved"])
+def test_correlation_matrix_matches_per_output_permanents(statistics, comparison_mode):
+    rng = random.Random(31)
+    for n in range(2, 10):
+        for _ in range(3):
+            u = random_unitary(rng, n)
+            u_site, v_site = rng.sample(range(1, n + 1), 2)
+            phase = rng.uniform(0, 2 * np.pi)
+            got = correlation_matrix(
+                u, (u_site, v_site), phase=phase, statistics=statistics,
+                comparison_mode=comparison_mode,
+            ).values
+            ref = correlation_by_permanents(u, (u_site, v_site), phase, statistics, comparison_mode)
+            assert np.abs(got - ref).max() <= 1e-14
 
 
 def test_correlation_matrix_is_symmetric_nonnegative():

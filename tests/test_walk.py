@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from latsym.network import Network
 from latsym.ninesite import SINGLET_SITES, build_ninesite
+from latsym.spectral import char_poly
 from latsym.walk import (
     ConvergenceError,
     antisymmetric_confinement,
@@ -76,9 +78,28 @@ def test_eigh_ninesite_spectrum():
     assert abs(lam[3] + 0.3920735034875265) < 1e-9
 
 
-def test_eigh_reports_non_convergence():
+def exact_eigenvalues(net):
+    """Real roots of char_poly, isolated exactly by sympy and then rounded."""
+    lam = sympy.Symbol("lam")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(char_poly(net).coeffs)]
+    return np.array([float(r.evalf(30)) for r in sympy.Poly(coeffs, lam).real_roots()])
+
+
+def test_eigh_matches_exact_roots_of_char_poly(oracle_networks):
+    for net in [build_ninesite(), *oracle_networks]:
+        h = np.array([[float(x) for x in row] for row in net.hamiltonian()])
+        exact = exact_eigenvalues(net)
+        assert len(exact) == net.n
+        assert np.abs(eigh(net).eigenvalues - exact).max() <= 1e-12 * np.abs(h).max()
+
+
+def test_eigh_reports_non_convergence(monkeypatch):
+    def fail(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(ConvergenceError):
-        eigh(path_network(2), max_sweeps=0)
+        eigh(path_network(2))
 
 
 @pytest.mark.parametrize(
@@ -99,7 +120,7 @@ def test_eigh_tolerances_scale_with_the_couplings(net):
 
 
 def test_eigh_zero_hamiltonian():
-    sys = eigh(Network(3, [Fraction(0)] * 3, []), max_sweeps=0)
+    sys = eigh(Network(3, [Fraction(0)] * 3, []))
     assert np.array_equal(sys.eigenvalues, np.zeros(3))
     assert np.array_equal(sys.eigenvectors, np.eye(3))
 
@@ -253,3 +274,26 @@ def test_eigenprojector_parity():
     assert not eigenprojector_parity(eigh(path_network(3)), 1, 2)
     twins = Network(4, [Fraction(0)] * 4, [(1, 2, Fraction(1)), (3, 4, Fraction(1))])
     assert not eigenprojector_parity(eigh(twins), 1, 3)
+
+
+@pytest.mark.parametrize("bad", [0, 10])
+def test_walk_functions_refuse_out_of_range_sites(bad):
+    # site 0 would otherwise read row -1, i.e. site 9
+    sys = eigh(build_ninesite())
+    taus = np.array([0.0, 1.0])
+    calls = [
+        lambda: fidelity(sys, bad, 2, 1.0),
+        lambda: fidelity(sys, 2, bad, 1.0),
+        lambda: fidelity_curve(sys, bad, 2, taus),
+        lambda: fidelity_curve(sys, 2, bad, taus),
+        lambda: envelope_scan(sys, bad, 6, 1.0, 0.1),
+        lambda: envelope_scan(sys, 2, bad, 1.0, 0.1),
+        lambda: antisymmetric_confinement(sys, bad, 6, SINGLET_SITES, taus),
+        lambda: antisymmetric_confinement(sys, 2, bad, SINGLET_SITES, taus),
+        lambda: antisymmetric_confinement(sys, 2, 6, [4, bad], taus),
+        lambda: eigenprojector_parity(sys, bad, 6),
+        lambda: eigenprojector_parity(sys, 2, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"site {bad} out of range 1..9"):
+            call()
