@@ -40,10 +40,21 @@ MAX_SCAN_POINTS = 10_000
 # refused before any array is built.
 MAX_EVOLVE_VALUES = 10_000_000
 
+# Largest `envelope` grid, in samples.  On the nine-site network the scan takes
+# about 16 s for this many samples; a larger grid is refused before eigh runs.
+MAX_ENVELOPE_SAMPLES = 10**8
+
 
 def _g17(x: float) -> str:
     # 17 significant digits: doubles round-trip losslessly
     return format(float(x), ".17g")
+
+
+def _grid_count(tmax: float, step: float) -> float:
+    # floor(tmax/step) + 1 grid points, the count envelope_scan uses; inf when
+    # the ratio overflows, so that a cap refuses it
+    ratio = tmax / step
+    return math.floor(ratio + 1e-9) + 1 if math.isfinite(ratio) else math.inf
 
 
 def _load_network(path: str):
@@ -135,8 +146,7 @@ def _cmd_evolve(args) -> int:
         raise ValueError("need step > 0 and tmax >= 0")
     net = _load_network(args.network)
     net.check_vertex(args.from_site)
-    ratio = args.tmax / args.step
-    n_rows = math.floor(ratio + 1e-9) + 1 if math.isfinite(ratio) else math.inf
+    n_rows = _grid_count(args.tmax, args.step)
     if n_rows * net.n > MAX_EVOLVE_VALUES:
         raise ValueError(
             f"grid has {n_rows} rows of {net.n} sites, more than the limit of "
@@ -156,8 +166,15 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_envelope(args) -> int:
+    if not (args.step > 0 and args.tmax > 0):
+        raise ValueError("need step > 0 and tmax > 0")
     net = _load_network(args.network)
     net.check_pair(args.u, args.v)
+    n_samples = _grid_count(args.tmax, args.step)
+    if n_samples > MAX_ENVELOPE_SAMPLES:
+        raise ValueError(
+            f"grid has {n_samples} samples, more than the limit of {MAX_ENVELOPE_SAMPLES}"
+        )
     sys_ = eigh(net)
     report = envelope_scan(sys_, args.u, args.v, args.tmax, args.step)
     with open(args.out, "w", newline="") as fh:
@@ -287,7 +304,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_evolve)
 
-    p = sub.add_parser("envelope", help="running-max transfer-fidelity envelope")
+    p = sub.add_parser(
+        "envelope",
+        help=f"running-max transfer-fidelity envelope (at most {MAX_ENVELOPE_SAMPLES} samples)",
+    )
     p.add_argument("network")
     _add_pair_args(p)
     p.add_argument("--tmax", type=float, required=True)

@@ -3,7 +3,13 @@ import time
 import pytest
 
 from latsym import cli
-from latsym.cli import MAX_EVOLVE_VALUES, MAX_SCAN_POINTS, analyze_intensities, main
+from latsym.cli import (
+    MAX_ENVELOPE_SAMPLES,
+    MAX_EVOLVE_VALUES,
+    MAX_SCAN_POINTS,
+    analyze_intensities,
+    main,
+)
 from latsym.ninesite import build_ninesite
 from latsym.network import serialize_network
 
@@ -296,3 +302,63 @@ def test_evolve_cap_counts_rows_times_sites(chain2_file, tmp_path, capsys, monke
     assert capsys.readouterr().out == f"wrote 3 rows to {out}\n"
     assert main(argv + ["--tmax", "1.5"]) == 2
     assert "grid has 4 rows of 2 sites, more than the limit of 6 values" in capsys.readouterr().err
+
+
+def _no_envelope_eigh(net):
+    raise AssertionError("envelope diagonalized H for a grid it should refuse")
+
+
+@pytest.mark.parametrize(
+    "tmax, step",
+    [("1", "0"), ("1", "-0.1"), ("0", "0.1"), ("-1", "0.1"), ("nan", "0.1"), ("1", "nan")],
+)
+def test_envelope_refuses_invalid_grid(net_file, tmp_path, capsys, monkeypatch, tmax, step):
+    monkeypatch.setattr(cli, "eigh", _no_envelope_eigh)
+    out = tmp_path / "env.csv"
+    code = main(
+        ["envelope", net_file, "-u", "2", "-v", "6", "--tmax", tmax, "--step", step, "--out", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need step > 0 and tmax > 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "tmax, step, count",
+    [
+        ("1e12", "0.01", "100000000000001"),
+        ("1e300", "1e-300", "inf"),
+        ("inf", "1", "inf"),
+        ("1e8", "1", str(MAX_ENVELOPE_SAMPLES + 1)),
+    ],
+)
+def test_envelope_refuses_oversized_grid_before_any_work(
+    net_file, tmp_path, capsys, monkeypatch, tmax, step, count
+):
+    monkeypatch.setattr(cli, "eigh", _no_envelope_eigh)
+    out = tmp_path / "env.csv"
+    t0 = time.perf_counter()
+    code = main(
+        ["envelope", net_file, "-u", "2", "-v", "6", "--tmax", tmax, "--step", step, "--out", str(out)]
+    )
+    assert code == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: grid has {count} samples, more than the limit of {MAX_ENVELOPE_SAMPLES}\n"
+    )
+    assert not out.exists()
+
+
+def test_envelope_cap_counts_samples(chain2_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_ENVELOPE_SAMPLES", 3)
+    out = str(tmp_path / "env.csv")
+    argv = ["envelope", chain2_file, "-u", "1", "-v", "2", "--step", "0.5", "--out", out]
+    # samples at 0, 0.5, 1 are at the cap; adding 1.5 is over it
+    assert main(argv + ["--tmax", "1"]) == 0
+    assert capsys.readouterr().out.startswith("best: tau=")
+    assert main(argv + ["--tmax", "1.5"]) == 2
+    assert capsys.readouterr().err == "error: grid has 4 samples, more than the limit of 3\n"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,10 +6,12 @@ import numpy as np
 import pytest
 import sympy
 
+from latsym import walk
 from latsym.network import Network
 from latsym.ninesite import SINGLET_SITES, build_ninesite
 from latsym.spectral import char_poly
 from latsym.walk import (
+    _PHASE_BLOCK,
     ConvergenceError,
     antisymmetric_confinement,
     eigenprojector_parity,
@@ -221,6 +224,60 @@ def test_envelope_scan_is_chunk_invariant():
     assert a.envelope == b.envelope
 
 
+@pytest.mark.parametrize("samples", [3 * _PHASE_BLOCK + 100, _PHASE_BLOCK // 2])
+def test_envelope_rows_match_direct_fidelity_curve(oracle_networks, samples):
+    # the phase table against one direct exp(-i lam tau) per row; the phases
+    # of both round by about eps * tau * max|lam|
+    step = 0.05
+    cases = [(eigh(build_ninesite()), 2, 6), (eigh(path_network(2)), 1, 2)]
+    cases += [(eigh(net), 1, 2) for net in oracle_networks]
+    eps = np.finfo(float).eps
+    for sys, u, v in cases:
+        lam_max = float(np.abs(sys.eigenvalues).max())
+        report = envelope_scan(sys, u, v, (samples - 1) * step, step)
+        assert report.samples == samples
+        assert report.envelope[-1][0] == (samples - 1) * step
+        for tau, f, _ in report.envelope:
+            ref = fidelity_curve(sys, u, v, np.array([tau]))[0]
+            assert abs(f - ref) <= 64 * eps * (1 + tau * lam_max)
+
+
+@pytest.mark.parametrize(
+    "chunk_size", [1, _PHASE_BLOCK - 1, _PHASE_BLOCK, _PHASE_BLOCK + 1, 137]
+)
+def test_envelope_scan_is_chunk_invariant_across_block_edges(chunk_size):
+    sys = eigh(build_ninesite())
+    a = envelope_scan(sys, 2, 6, 50.0, 0.02)
+    assert a.samples > 4 * _PHASE_BLOCK
+    b = envelope_scan(sys, 2, 6, 50.0, 0.02, chunk_size=chunk_size)
+    assert a.best == b.best
+    assert a.peaks == b.peaks
+    assert a.envelope == b.envelope
+
+
+def test_envelope_scan_makes_no_exponential_per_sample(monkeypatch):
+    # coarse curve only: refinement is stubbed out so that every trigger keeps
+    # its coarse value, and the public per-tau functions must not be called
+    sys = eigh(build_ninesite())
+    counted = []
+    real_exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        counted.append(np.size(x))
+        return real_exp(x, *args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("envelope_scan called a public fidelity function")
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    monkeypatch.setattr(walk, "fidelity", refuse)
+    monkeypatch.setattr(walk, "fidelity_curve", refuse)
+    monkeypatch.setattr(walk, "_refine_peak", lambda fid, t0, h0, lo, hi: (t0, -np.inf))
+    report = envelope_scan(sys, 2, 6, 50.0, 0.02)
+    blocks = math.ceil(report.samples / _PHASE_BLOCK)
+    assert sum(counted) == (_PHASE_BLOCK + blocks) * sys.n
+
+
 def test_envelope_scan_first_principal_peak_regression():
     sys = eigh(build_ninesite())
     report = envelope_scan(sys, 2, 6, 20.0, 0.02)
@@ -243,6 +300,15 @@ def test_envelope_scan_validation():
         envelope_scan(sys, 1, 2, -1.0, 0.01)
     with pytest.raises(ValueError):
         envelope_scan(sys, 1, 2, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "tau_max, step", [(math.nan, 0.1), (1.0, math.nan), (math.inf, 0.1), (1e300, 1e-300)]
+)
+def test_envelope_scan_refuses_non_finite_sample_count(tau_max, step):
+    sys = eigh(path_network(2))
+    with pytest.raises(ValueError, match="must be finite"):
+        envelope_scan(sys, 1, 2, tau_max, step)
 
 
 def test_antisymmetric_input_never_reaches_singlet_sites():
