@@ -2,7 +2,10 @@
 
 The characteristic polynomial of a network with a strongly cospectral pair
 splits as P = P_plus * P_minus * P_zero, grouping eigenvalues by eigenvector
-parity on the pair (+, -) and by vanishing support.  A transfer certificate
+parity on the pair (+, -) and by vanishing support.  P_plus (P_minus) is the
+product of (lam - theta) over the eigenvalues whose eigenvectors reach
+e_u + e_v (e_u - e_v), so strong cospectrality is resultant(P_plus, P_minus)
+!= 0 (the `spectral` module docstring has the proof).  A transfer certificate
 checks, in order: cospectrality, strong cospectrality, irreducibility of both
 parity factors over Q, and the trace-ratio inequality
 Tr(P_plus)/deg(P_plus) != Tr(P_minus)/deg(P_minus).
@@ -15,8 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .network import Network, has_swap_automorphism
-from .polynomial import RationalPoly, is_squarefree, resultant
-from .spectral import _pair_polys, _PairPolys
+from .polynomial import RationalPoly, resultant
+from .spectral import _pair_polys
 
 CERTIFIED = "CERTIFIED"
 LITERAL_CONDITION_FAILED = "LITERAL_CONDITION_FAILED"
@@ -37,16 +40,13 @@ class ParityDecomposition:
     minus_sign: int
 
 
-def _decompose(pair: _PairPolys) -> ParityDecomposition:
-    p_plus, p_minus = pair.parity_factors()
-    quo, rem = divmod(pair.phi_g, p_plus * p_minus)
-    if not rem.is_zero:
-        raise PGSTError(
-            "parity factors do not divide the characteristic polynomial exactly"
-        )
+def _decompose(
+    phi_g: RationalPoly, p_plus: RationalPoly, p_minus: RationalPoly
+) -> ParityDecomposition:
+    # P+ and P- are coprime divisors of phi(G), so p_zero divides out exactly.
     # a +/- b - lam = -(phi(G - v) -/+ A_uv)/D, where phi(G - v) is monic and
     # A_uv has lower degree: both numerators lead with -1 before normalization.
-    return ParityDecomposition(p_plus, p_minus, quo, -1, -1)
+    return ParityDecomposition(p_plus, p_minus, phi_g.exact_div(p_plus * p_minus), -1, -1)
 
 
 def parity_decompose(net: Network, u: int, v: int) -> ParityDecomposition:
@@ -59,9 +59,10 @@ def parity_decompose(net: Network, u: int, v: int) -> ParityDecomposition:
     pair = _pair_polys(net, u, v)
     if pair is None:
         raise PGSTError(f"pair ({u}, {v}) is not cospectral")
-    if not is_squarefree(pair.reduction_poly()):
+    p_plus, p_minus = pair.parity_factors()
+    if resultant(p_plus, p_minus) == 0:
         raise PGSTError(f"pair ({u}, {v}) is not strongly cospectral")
-    return _decompose(pair)
+    return _decompose(pair.phi_g, p_plus, p_minus)
 
 
 def is_irreducible(p: RationalPoly) -> bool:
@@ -170,21 +171,23 @@ def pgst_certificate(net: Network, u: int, v: int) -> PGSTCertificate:
     """Run the full gate sequence and report how far the pair gets."""
     pair = _pair_polys(net, u, v)
     cos = pair is not None
-    swap = has_swap_automorphism(net, u, v)
+    # a swap automorphism implies cospectrality, so only a cospectral pair can have one
+    swap = cos and has_swap_automorphism(net, u, v)
     cert = PGSTCertificate(u=u, v=v, cospectral=cos, swap_automorphism=swap)
     if not cos:
         cert.verdict = NOT_COSPECTRAL
         cert.notes = "the deleted-vertex characteristic polynomials differ"
         return cert
 
-    strong = is_squarefree(pair.reduction_poly())
+    p_plus, p_minus = pair.parity_factors()
+    strong = resultant(p_plus, p_minus) != 0
     cert.strongly_cospectral = strong
     if not strong:
         cert.verdict = NOT_STRONGLY_COSPECTRAL
         cert.notes = "the reduction has a repeated non-linear eigenvalue"
         return cert
 
-    dec = _decompose(pair)
+    dec = _decompose(pair.phi_g, p_plus, p_minus)
     cert.p_plus, cert.p_minus, cert.p_zero = dec.p_plus, dec.p_minus, dec.p_zero
     cert.plus_sign, cert.minus_sign = dec.plus_sign, dec.minus_sign
     cert.plus_irreducible = is_irreducible(dec.p_plus)
@@ -226,7 +229,7 @@ def pgst_certificate(net: Network, u: int, v: int) -> PGSTCertificate:
 class BoundaryPoint:
     potential: Fraction
     strongly_cospectral: bool
-    squarefree: bool
+    squarefree: bool  # of the reduction polynomial: always not parity_common_factor
     parity_common_factor: bool
     resultant_sign: int
     min_root_distance: float
@@ -267,12 +270,13 @@ def boundary_scan(
 ) -> BoundaryReport:
     """Scan the shared on-site potential E for strong-cospectrality failures.
 
-    At every grid value the square-freeness of the reduction polynomial and a
-    common factor of the parity numerators are tested exactly.  The genuinely
+    At every grid value the exact resultant of the parity factors decides
+    strong cospectrality: it is zero exactly when they share a root, which is
+    exactly when the reduction polynomial is not square-free.  The genuinely
     failing E are irrational, so between grid points the failures are bracketed
-    by sign changes of the exact resultant of the parity factors (equivalently,
-    by the dip of the numeric minimum root distance through zero), compared
-    between points whose parity factors have the same degrees.
+    by sign changes of that resultant (equivalently, by the dip of the numeric
+    minimum root distance through zero), compared between points whose parity
+    factors have the same degrees.
     """
     if k == 0:
         raise PGSTError("coupling k must be nonzero")
@@ -285,7 +289,6 @@ def boundary_scan(
         pair = _pair_polys(builder(k, e_val), u, v)
         if pair is None:
             raise PGSTError(f"pair ({u}, {v}) is not cospectral at E = {e_val}")
-        sqf = is_squarefree(pair.reduction_poly())
         p_plus, p_minus = pair.parity_factors()
         res = resultant(p_plus, p_minus)
         common = res == 0
@@ -297,8 +300,8 @@ def boundary_scan(
         points.append(
             BoundaryPoint(
                 potential=e_val,
-                strongly_cospectral=sqf and not common,
-                squarefree=sqf,
+                strongly_cospectral=not common,
+                squarefree=not common,
                 parity_common_factor=common,
                 resultant_sign=sign,
                 min_root_distance=dist,

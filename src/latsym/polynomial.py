@@ -190,6 +190,8 @@ def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
 
 
 def is_squarefree(p: RationalPoly) -> bool:
+    """gcd(p, p') is constant.  No library caller: kept as a test oracle and
+    for the benchmark tracer (`perfbench/tracing.TRACED`)."""
     if p.degree < 1:
         raise ValueError("square-freeness is about non-constant polynomials")
     return poly_gcd(p, p.derivative()).degree == 0

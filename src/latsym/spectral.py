@@ -5,10 +5,19 @@ Every exact polynomial comes from one engine, `_adjugate`: a single
 Faddeev-LeVerrier pass in integers gives phi(G) = det(lam*I - H) and every
 entry of the polynomial adjugate adj(lam*I - H).  For a pair (u, v) the
 diagonal entries are phi(G - u) and phi(G - v) (equal exactly when the pair is
-cospectral), the off-diagonal entry is A_uv, and the Jacobi identity
-phi(G - u) phi(G - v) - A_uv^2 = phi(G) D gives D = phi(G - {u, v}) by exact
-division.  Then a = lam - phi(G - v)/D, b = A_uv/D, and the reduction
-polynomial is phi(G)/D in lowest terms.
+cospectral) and the off-diagonal entry is A_uv.
+
+Strong cospectrality.  With E_theta the eigenprojectors of H,
+G_vv +/- G_uv = (phi(G - v) +/- A_uv)/phi(G)
+              = sum_theta |E_theta (e_u +/- e_v)|^2/2 * 1/(lam - theta),
+so its reduced denominator P+/- = phi(G)/gcd(phi(G), phi(G - v) +/- A_uv) is
+the monic, square-free product of (lam - theta) over the theta with
+E_theta (e_u +/- e_v) != 0.  Write N+/- for the reduced numerator, coprime to
+P+/-.  By the Jacobi identity phi(G - u) phi(G - v) - A_uv^2 = phi(G) D, with
+D = phi(G - {u, v}), the reduction polynomial phi(G)/D is the reduced
+numerator of P+ P- / (N+ N-), so it has a double root exactly where P+ and P-
+share one.  Strong cospectrality is therefore resultant(P+, P-) != 0, the one
+test used everywhere in latsym.
 
 Everything in this module is exact rational arithmetic; identical inputs give
 bit-identical outputs.
@@ -20,12 +29,7 @@ from math import lcm
 from typing import Callable
 
 from .network import Network, has_swap_automorphism
-from .polynomial import (
-    RationalFunction,
-    RationalPoly,
-    is_squarefree,
-    poly_gcd,
-)
+from .polynomial import RationalFunction, RationalPoly, poly_gcd, resultant
 
 
 class SpectralError(ValueError):
@@ -83,42 +87,28 @@ class _PairPolys:
     """The adjugate entries that describe a cospectral pair (u, v)."""
 
     phi_g: RationalPoly  # phi(G)
-    d: RationalPoly  # phi(G - {u, v})
     phi: RationalPoly  # phi(G - u) = phi(G - v), monic of degree n - 1
     a_uv: RationalPoly  # [adj(lam*I - H)]_uv, of degree below n - 1
-
-    def reduction_poly(self) -> RationalPoly:
-        """Monic numerator of (a - lam)^2 - b^2 = phi(G)/D in lowest terms."""
-        return _lowest_terms(self.phi_g, self.d)
+    entry: Callable[[int, int], RationalPoly]  # every adjugate entry, 0-based
 
     def parity_factors(self) -> tuple[RationalPoly, RationalPoly]:
-        """Monic numerators of a + b - lam = -(phi(G - v) - A_uv)/D and
-        a - b - lam = -(phi(G - v) + A_uv)/D in lowest terms."""
-        return (
-            _lowest_terms(self.phi - self.a_uv, self.d),
-            _lowest_terms(self.phi + self.a_uv, self.d),
-        )
-
-
-def _lowest_terms(num: RationalPoly, den: RationalPoly) -> RationalPoly:
-    return num.exact_div(poly_gcd(num, den)).monic()
+        """P+ and P-, the reduced denominators of (phi(G - v) +/- A_uv)/phi(G)."""
+        plus = poly_gcd(self.phi_g, self.phi + self.a_uv)
+        minus = poly_gcd(self.phi_g, self.phi - self.a_uv)
+        return self.phi_g.exact_div(plus), self.phi_g.exact_div(minus)
 
 
 def _pair_polys(net: Network, u: int, v: int) -> _PairPolys | None:
     """The polynomials of a pair from one adjugate pass; None unless cospectral.
 
-    phi(G - u) and phi(G - v) are the diagonal entries adj_uu and adj_vv, and
-    D = phi(G - {u, v}) follows from the Jacobi identity
-    adj_uu adj_vv - adj_uv^2 = phi(G) D by exact division.
+    phi(G - u) and phi(G - v) are the diagonal entries adj_uu and adj_vv.
     """
     net.check_pair(u, v)
     phi_g, entry = _adjugate(net)
     phi_v = entry(v - 1, v - 1)
     if entry(u - 1, u - 1) != phi_v:
         return None
-    a_uv = entry(u - 1, v - 1)
-    d = (phi_v * phi_v - a_uv * a_uv).exact_div(phi_g)
-    return _PairPolys(phi_g=phi_g, d=d, phi=phi_v, a_uv=a_uv)
+    return _PairPolys(phi_g=phi_g, phi=phi_v, a_uv=entry(u - 1, v - 1), entry=entry)
 
 
 def is_latent_symmetric(net: Network, u: int, v: int) -> bool:
@@ -126,27 +116,20 @@ def is_latent_symmetric(net: Network, u: int, v: int) -> bool:
     return is_cospectral(net, u, v) and not has_swap_automorphism(net, u, v)
 
 
-def singlet_sites(net: Network, u: int, v: int, max_power: int | None = None) -> frozenset[int]:
+def singlet_sites(net: Network, u: int, v: int) -> frozenset[int]:
     """Sites w with (H^m)[u,w] = (H^m)[v,w] for every power m.
 
-    Powers up to n-1 suffice (Cayley-Hamilton); max_power overrides for
-    cross-checking.  The pair must be cospectral.
+    These are the w outside the pair with adj_uw = adj_vw, since the adjugate's
+    coefficients are B_k = sum_j c_(k-j) (dH)^j with c_0 = 1 (and powers from n
+    on follow by Cayley-Hamilton).  The pair must be cospectral.
     """
-    if not is_cospectral(net, u, v):
+    pair = _pair_polys(net, u, v)
+    if pair is None:
         raise SpectralError("singlet sites are defined relative to a cospectral pair")
-    n = net.n
-    top = n - 1 if max_power is None else max_power
-    h = net.hamiltonian()
-    ru = [Fraction(int(i == u - 1)) for i in range(n)]
-    rv = [Fraction(int(i == v - 1)) for i in range(n)]
-    alive = {w for w in range(1, n + 1) if w not in (u, v)}
-    for _ in range(top):
-        ru = [sum(ru[i] * h[i][j] for i in range(n)) for j in range(n)]
-        rv = [sum(rv[i] * h[i][j] for i in range(n)) for j in range(n)]
-        alive = {w for w in alive if ru[w - 1] == rv[w - 1]}
-        if not alive:
-            break
-    return frozenset(alive)
+    return frozenset(
+        w for w in range(1, net.n + 1)
+        if w not in (u, v) and pair.entry(u - 1, w - 1) == pair.entry(v - 1, w - 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -161,7 +144,8 @@ def isospectral_reduction(net: Network, u: int, v: int) -> ReductionMatrix:
     """Reduce H onto the pair {u, v}: R(lam) = H_SS - H_SC (H_CC - lam I)^-1 H_CS.
 
     Entries come out as fully reduced rational functions in lam:
-    a = (lam*D - phi(G - v))/D and b = A_uv/D with D = phi(G - {u, v}).
+    a = (lam*D - phi(G - v))/D and b = A_uv/D with D = phi(G - {u, v}), from
+    the Jacobi identity phi(G - v)^2 - A_uv^2 = phi(G) D by exact division.
     Equal diagonal entries are required (they are equal exactly when the pair
     is cospectral); otherwise this raises.
     """
@@ -170,9 +154,10 @@ def isospectral_reduction(net: Network, u: int, v: int) -> ReductionMatrix:
         raise SpectralError(
             "reduction is not bisymmetric for this pair (the pair is not cospectral)"
         )
+    d = (pair.phi * pair.phi - pair.a_uv * pair.a_uv).exact_div(pair.phi_g)
     return ReductionMatrix(
-        a=RationalFunction(RationalPoly.x() * pair.d - pair.phi, pair.d),
-        b=RationalFunction(pair.a_uv, pair.d),
+        a=RationalFunction(RationalPoly.x() * d - pair.phi, d),
+        b=RationalFunction(pair.a_uv, d),
     )
 
 
@@ -189,6 +174,9 @@ def reduction_charpoly(red: ReductionMatrix) -> RationalPoly:
 
 
 def is_strongly_cospectral(net: Network, u: int, v: int) -> bool:
-    """Cospectral and every non-linear eigenvalue of the reduction is simple."""
+    """Cospectral and every non-linear eigenvalue of the reduction is simple.
+
+    Decided as resultant(P+, P-) != 0 (see the module docstring).
+    """
     pair = _pair_polys(net, u, v)
-    return pair is not None and is_squarefree(pair.reduction_poly())
+    return pair is not None and resultant(*pair.parity_factors()) != 0

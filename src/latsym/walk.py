@@ -151,7 +151,8 @@ def envelope_scan(
     (B + N/B) n complex exponentials instead of N n.  Each value depends on i
     alone, so the report does not depend on chunk_size; against the direct
     exp(-i lam_k i dt) it differs by phase rounding of order eps*max|lam|*tau.
-    tau_max/coarse_step must be finite, else ValueError.
+    tau_max/coarse_step must be finite and the sample count must fit in int64,
+    else ValueError.
     """
     if tau_max <= 0 or coarse_step <= 0:
         raise ValueError("tau_max and coarse_step must be positive")
@@ -159,6 +160,8 @@ def envelope_scan(
         raise ValueError("tau_max/coarse_step must be finite")
     _check_sites(sys, u, v)
     n_samples = int(np.floor(tau_max / coarse_step + 1e-9)) + 1
+    if n_samples > np.iinfo(np.int64).max:
+        raise ValueError(f"{n_samples} samples do not fit in int64")
 
     keep = np.unique(
         np.concatenate(

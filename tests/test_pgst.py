@@ -18,7 +18,7 @@ from latsym.pgst import (
     parity_decompose,
     pgst_certificate,
 )
-from latsym import spectral
+from latsym import pgst, spectral
 from latsym.polynomial import RationalFunction, RationalPoly, poly_gcd
 from latsym.spectral import (
     _pair_polys,
@@ -26,6 +26,7 @@ from latsym.spectral import (
     is_cospectral,
     is_strongly_cospectral,
     isospectral_reduction,
+    singlet_sites,
 )
 
 P_MINUS = RationalPoly([Fraction(-729, 1250), 0, 1])
@@ -196,6 +197,17 @@ def test_certificate_gates():
     assert cert.strongly_cospectral is False
 
 
+def test_certificate_skips_swap_search_for_a_non_cospectral_pair(monkeypatch):
+    # a swap automorphism implies cospectrality, so the search cannot change the answer
+    def refuse(*args):
+        raise AssertionError("has_swap_automorphism called on a non-cospectral pair")
+
+    monkeypatch.setattr(pgst, "has_swap_automorphism", refuse)
+    cert = pgst_certificate(path_network(3), 1, 2)
+    assert cert.verdict == NOT_COSPECTRAL
+    assert cert.swap_automorphism is False
+
+
 def frange(lo, hi, step):
     grid = []
     e = Fraction(lo)
@@ -305,6 +317,7 @@ def test_one_adjugate_pass_per_public_call(monkeypatch):
         (is_strongly_cospectral, path_network(3), 1, 2),
         (is_cospectral, build_ninesite(), 2, 6),
         (isospectral_reduction, build_ninesite(), 2, 6),
+        (singlet_sites, build_ninesite(), 2, 6),
     ]
     for fn, net, u, v in cases:
         calls.clear()

@@ -6,7 +6,13 @@ import pytest
 
 from latsym.network import Network
 from latsym.ninesite import build_ninesite
-from latsym.polynomial import RationalFunction, RationalPoly, det_fraction
+from latsym.polynomial import (
+    RationalFunction,
+    RationalPoly,
+    det_fraction,
+    is_squarefree,
+    poly_gcd,
+)
 from latsym.spectral import (
     SpectralError,
     _adjugate,
@@ -162,11 +168,25 @@ def test_singlet_sites_path():
     assert singlet_sites(path_network(2), 1, 2) == frozenset()
 
 
+def power_singlets(net, u, v, top):
+    """w outside the pair with (H^m)[u,w] = (H^m)[v,w] for m = 1..top, by Fraction powers."""
+    n = net.n
+    h = net.hamiltonian()
+    ru = [Fraction(int(i == u - 1)) for i in range(n)]
+    rv = [Fraction(int(i == v - 1)) for i in range(n)]
+    alive = {w for w in range(1, n + 1) if w not in (u, v)}
+    for _ in range(top):
+        ru = [sum(ru[i] * h[i][j] for i in range(n)) for j in range(n)]
+        rv = [sum(rv[i] * h[i][j] for i in range(n)) for j in range(n)]
+        alive = {w for w in alive if ru[w - 1] == rv[w - 1]}
+    return frozenset(alive)
+
+
 def test_singlet_sites_ninesite():
     net = build_ninesite()
     assert singlet_sites(net, 2, 6) == frozenset({4, 8, 9})
-    # explicit power cap beyond the default must not change the answer
-    assert singlet_sites(net, 2, 6, max_power=2 * net.n) == frozenset({4, 8, 9})
+    # powers far beyond Cayley-Hamilton's n - 1 must not change the answer
+    assert power_singlets(net, 2, 6, 2 * net.n) == frozenset({4, 8, 9})
 
 
 def test_singlet_sites_requires_cospectral_pair():
@@ -330,7 +350,7 @@ def test_minor_engine_satisfies_jacobi_identity_against_cofactors(oracle_network
             pair = _pair_polys(net, u, v)
             assert (pair is not None) == (phi_u == phi_v)
             if pair is not None:
-                assert (pair.phi_g, pair.d, pair.phi, pair.a_uv) == (phi, d, phi_v, a_uv)
+                assert (pair.phi_g, pair.phi, pair.a_uv) == (phi, phi_v, a_uv)
 
 
 def test_exact_engine_at_extreme_couplings():
@@ -418,3 +438,45 @@ def test_isospectral_reduction_matches_schur_complement(oracle_networks):
             checked += 1
         assert checked > 2 * net.n
     assert cospectral_pairs >= 7
+
+
+def unit_weight_graphs(max_n):
+    """One graph with unit couplings per isomorphism class, on 2..max_n sites."""
+    for n in range(2, max_n + 1):
+        slots = list(itertools.combinations(range(n), 2))
+        seen = set()
+        for mask in range(1 << len(slots)):
+            edges = [e for b, e in enumerate(slots) if mask >> b & 1]
+            if mask in seen:
+                continue
+            for perm in itertools.permutations(range(n)):
+                seen.add(sum(1 << slots.index(tuple(sorted((perm[i], perm[j]))))
+                             for i, j in edges))
+            yield Network(n, [Fraction(0)] * n, [(i + 1, j + 1, Fraction(1)) for i, j in edges])
+
+
+def test_parity_factors_and_strong_cospectrality_match_the_reduction(oracle_networks):
+    # oracle: the reduction polynomial phi(G)/gcd(phi(G), D) and the parity
+    # numerators (phi(G - v) -/+ A_uv)/gcd(., D), with D by the Jacobi identity
+    nets = list(unit_weight_graphs(5)) + oracle_networks
+    nets += [build_ninesite(potential=Fraction(e, 4)) for e in range(-8, 9, 3)]
+    counts = {True: 0, False: 0}
+    for net in nets:
+        phi_g, entry = _adjugate(net)
+        for u, v in itertools.combinations(range(1, net.n + 1), 2):
+            pair = _pair_polys(net, u, v)
+            if pair is None:
+                assert not is_strongly_cospectral(net, u, v)
+                continue
+            phi, a_uv = entry(v - 1, v - 1), entry(u - 1, v - 1)
+            d = (phi * phi - a_uv * a_uv).exact_div(phi_g)
+
+            def lowest(num):
+                return num.exact_div(poly_gcd(num, d)).monic()
+
+            strong = is_squarefree(lowest(phi_g))
+            assert is_strongly_cospectral(net, u, v) == strong
+            assert pair.parity_factors() == (lowest(phi - a_uv), lowest(phi + a_uv))
+            assert singlet_sites(net, u, v) == power_singlets(net, u, v, 2 * net.n)
+            counts[strong] += 1
+    assert counts[True] >= 60 and counts[False] >= 100

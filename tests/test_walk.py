@@ -311,6 +311,18 @@ def test_envelope_scan_refuses_non_finite_sample_count(tau_max, step):
         envelope_scan(sys, 1, 2, tau_max, step)
 
 
+def test_envelope_scan_refuses_a_sample_count_beyond_int64(monkeypatch):
+    sys = eigh(build_ninesite())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("envelope_scan built an array before refusing")
+
+    for name in ("geomspace", "arange", "exp", "outer", "concatenate"):
+        monkeypatch.setattr(np, name, refuse)
+    with pytest.raises(ValueError, match="int64"):
+        envelope_scan(sys, 2, 6, 1e20, 1.0)
+
+
 def test_antisymmetric_input_never_reaches_singlet_sites():
     sys = eigh(build_ninesite())
     leak = antisymmetric_confinement(sys, 2, 6, SINGLET_SITES, np.linspace(0, 100, 2001))
