@@ -19,6 +19,13 @@ numerator of P+ P- / (N+ N-), so it has a double root exactly where P+ and P-
 share one.  Strong cospectrality is therefore resultant(P+, P-) != 0, the one
 test used everywhere in latsym.
 
+Walk counts.  Cospectrality and singlet sites need no adjugate.  With A = dH
+and z_j = A^j (e_u - e_v), the pair is cospectral iff z_j[u] = -z_j[v], and w
+is a singlet iff z_j[w] = 0, for every j < n.  Proof: the adjugate's
+coefficients B_k = sum_(j<=k) c_(k-j) A^j (c_0 = 1) are unitriangular in the
+powers, so adj_uw = adj_vw iff (A^j)_uw = (A^j)_vw for every j < n, w = u, v
+included; and z_j[u] + z_j[v] = (A^j)_uu - (A^j)_vv, as A^j is symmetric.
+
 Everything in this module is exact rational arithmetic; identical inputs give
 bit-identical outputs.
 """
@@ -36,6 +43,32 @@ class SpectralError(ValueError):
     pass
 
 
+def _scaled_rows(net: Network) -> tuple[int, list[list[tuple[int, int]]]]:
+    """d, the common denominator of H, and the rows of A = d*H as (site, A_ij) lists."""
+    d = lcm(*(e.denominator for e in net.onsite), *(w.denominator for *_, w in net.edges))
+    rows = [[(i, e.numerator * d // e.denominator)] if e else [] for i, e in enumerate(net.onsite)]
+    for i, j, w in net.edges:
+        a = w.numerator * d // w.denominator
+        rows[i - 1].append((j - 1, a))
+        rows[j - 1].append((i - 1, a))
+    return d, rows
+
+
+def _walk_singlets(net: Network, u: int, v: int) -> frozenset[int] | None:
+    """Singlet sites of (u, v) from z_j = A^j (e_u - e_v), j < n; None unless cospectral."""
+    net.check_pair(u, v)
+    _, rows = _scaled_rows(net)
+    z = [0] * net.n
+    z[u - 1], z[v - 1] = 1, -1
+    alive = set(range(net.n)) - {u - 1, v - 1}
+    for _ in range(net.n - 1):
+        z = [sum(a * z[j] for j, a in row) for row in rows]
+        if z[u - 1] != -z[v - 1]:
+            return None
+        alive = {w for w in alive if z[w] == 0}
+    return frozenset(w + 1 for w in alive)
+
+
 def _adjugate(net: Network) -> tuple[RationalPoly, Callable[[int, int], RationalPoly]]:
     """phi(G) and a reader entry(i, j) of [adj(lam*I - H)]_ij, 0-based sites.
 
@@ -47,10 +80,8 @@ def _adjugate(net: Network) -> tuple[RationalPoly, Callable[[int, int], Rational
     so it is symmetric: only the upper triangle of each product is formed,
     and tr(A B) is read elementwise as the sum of A_ij B_ij.
     """
-    h = net.hamiltonian()
     n = net.n
-    d = lcm(*(e.denominator for row in h for e in row))
-    a = [[(j, int(e * d)) for j, e in enumerate(row) if e] for row in h]
+    d, a = _scaled_rows(net)
     b = [[int(i == j) for j in range(n)] for i in range(n)]
     bs, cs = [b], [1]
     for k in range(1, n + 1):
@@ -79,7 +110,7 @@ def char_poly(net: Network) -> RationalPoly:
 
 def is_cospectral(net: Network, u: int, v: int) -> bool:
     """Equal characteristic polynomials after deleting u resp. v."""
-    return _pair_polys(net, u, v) is not None
+    return _walk_singlets(net, u, v) is not None
 
 
 @dataclass(frozen=True)
@@ -89,7 +120,6 @@ class _PairPolys:
     phi_g: RationalPoly  # phi(G)
     phi: RationalPoly  # phi(G - u) = phi(G - v), monic of degree n - 1
     a_uv: RationalPoly  # [adj(lam*I - H)]_uv, of degree below n - 1
-    entry: Callable[[int, int], RationalPoly]  # every adjugate entry, 0-based
 
     def parity_factors(self) -> tuple[RationalPoly, RationalPoly]:
         """P+ and P-, the reduced denominators of (phi(G - v) +/- A_uv)/phi(G)."""
@@ -108,7 +138,7 @@ def _pair_polys(net: Network, u: int, v: int) -> _PairPolys | None:
     phi_v = entry(v - 1, v - 1)
     if entry(u - 1, u - 1) != phi_v:
         return None
-    return _PairPolys(phi_g=phi_g, phi=phi_v, a_uv=entry(u - 1, v - 1), entry=entry)
+    return _PairPolys(phi_g=phi_g, phi=phi_v, a_uv=entry(u - 1, v - 1))
 
 
 def is_latent_symmetric(net: Network, u: int, v: int) -> bool:
@@ -117,19 +147,11 @@ def is_latent_symmetric(net: Network, u: int, v: int) -> bool:
 
 
 def singlet_sites(net: Network, u: int, v: int) -> frozenset[int]:
-    """Sites w with (H^m)[u,w] = (H^m)[v,w] for every power m.
-
-    These are the w outside the pair with adj_uw = adj_vw, since the adjugate's
-    coefficients are B_k = sum_j c_(k-j) (dH)^j with c_0 = 1 (and powers from n
-    on follow by Cayley-Hamilton).  The pair must be cospectral.
-    """
-    pair = _pair_polys(net, u, v)
-    if pair is None:
+    """Sites w outside the cospectral pair with (H^m)[u,w] = (H^m)[v,w] for every m."""
+    sites = _walk_singlets(net, u, v)
+    if sites is None:
         raise SpectralError("singlet sites are defined relative to a cospectral pair")
-    return frozenset(
-        w for w in range(1, net.n + 1)
-        if w not in (u, v) and pair.entry(u - 1, w - 1) == pair.entry(v - 1, w - 1)
-    )
+    return sites
 
 
 @dataclass(frozen=True)

@@ -457,17 +457,35 @@ def unit_weight_graphs(max_n):
 
 def test_parity_factors_and_strong_cospectrality_match_the_reduction(oracle_networks):
     # oracle: the reduction polynomial phi(G)/gcd(phi(G), D) and the parity
-    # numerators (phi(G - v) -/+ A_uv)/gcd(., D), with D by the Jacobi identity
+    # numerators (phi(G - v) -/+ A_uv)/gcd(., D), with D by the Jacobi identity;
+    # the walk-count verdicts against the adjugate entries they stand for
+    big, tiny = Fraction(10**7), Fraction(1, 10**13)
     nets = list(unit_weight_graphs(5)) + oracle_networks
     nets += [build_ninesite(potential=Fraction(e, 4)) for e in range(-8, 9, 3)]
+    nets += [build_ninesite(big, tiny), build_ninesite(tiny, big)]
+    nets.append(
+        Network(
+            4,
+            [Fraction(1, 3), Fraction(-2), Fraction(-2), Fraction(1, 3)],
+            [(1, 2, big), (2, 3, tiny), (3, 4, big)],
+        )
+    )
     counts = {True: 0, False: 0}
     for net in nets:
         phi_g, entry = _adjugate(net)
         for u, v in itertools.combinations(range(1, net.n + 1), 2):
             pair = _pair_polys(net, u, v)
+            cospectral = entry(u - 1, u - 1) == entry(v - 1, v - 1)
+            assert is_cospectral(net, u, v) == cospectral == (pair is not None)
             if pair is None:
                 assert not is_strongly_cospectral(net, u, v)
+                with pytest.raises(SpectralError):
+                    singlet_sites(net, u, v)
                 continue
+            assert singlet_sites(net, u, v) == {
+                w for w in range(1, net.n + 1)
+                if w not in (u, v) and entry(u - 1, w - 1) == entry(v - 1, w - 1)
+            }
             phi, a_uv = entry(v - 1, v - 1), entry(u - 1, v - 1)
             d = (phi * phi - a_uv * a_uv).exact_div(phi_g)
 
