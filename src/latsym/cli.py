@@ -70,6 +70,8 @@ def analyze_intensities(
     clamped to [0, 1] with a warning when measurement noise forces clamping.
     """
     n = len(intensities)
+    if not all(map(math.isfinite, [*intensities, background])):
+        raise ValueError("intensities and background must be finite")
     for site in (u, v):
         if not 1 <= site <= n:
             raise ValueError(f"site {site} out of range 1..{n}")
@@ -187,6 +189,8 @@ def _cmd_envelope(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
+    if not (math.isfinite(args.tau) and math.isfinite(args.phase)):
+        raise ValueError("need finite --tau and --phase")
     net = _load_network(args.network)
     net.check_pair(args.u, args.v)
     sys_ = eigh(net)
@@ -225,6 +229,8 @@ def _read_intensity_csv(path: str) -> list[float]:
         if site in by_site:
             raise ValueError(f"duplicate site {site}")
         by_site[site] = float(row[1])
+        if not math.isfinite(by_site[site]):
+            raise ValueError(f"intensity of site {site} is not finite")
     n = len(by_site)
     if set(by_site) != set(range(1, n + 1)):
         raise ValueError("sites must be 1..n with no gaps")

@@ -8,7 +8,8 @@ e_u + e_v (e_u - e_v), so strong cospectrality is resultant(P_plus, P_minus)
 != 0 (the `spectral` module docstring has the proof).  A transfer certificate
 checks, in order: cospectrality, strong cospectrality, irreducibility of both
 parity factors over Q, and the trace-ratio inequality
-Tr(P_plus)/deg(P_plus) != Tr(P_minus)/deg(P_minus).
+Tr(P_plus)/deg(P_plus) != Tr(P_minus)/deg(P_minus).  Irreducibility is exact,
+from factor degrees mod small primes and a Zassenhaus fallback (`is_irreducible`).
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .network import Network, has_swap_automorphism
-from .polynomial import RationalPoly, resultant
+from .polynomial import RationalPoly, _is_irreducible, resultant
 from .spectral import _pair_polys
 
 CERTIFIED = "CERTIFIED"
@@ -66,15 +67,21 @@ def parity_decompose(net: Network, u: int, v: int) -> ParityDecomposition:
 
 
 def is_irreducible(p: RationalPoly) -> bool:
-    """Irreducibility over Q, decided exactly."""
+    """Irreducibility over Q, decided exactly in Python integers.
+
+    p is scaled to a primitive integer f with lc(f) > 0.  Degree 1 is
+    irreducible; a zero constant term or a repeated factor (an exact gcd over
+    Q, run once f has repeated factors mod five primes) makes f reducible.  A
+    factorisation f = g*h over Z survives mod each prime p not dividing lc(f),
+    so deg g is a sum of degrees of factors mod p.  Distinct-degree
+    factorisation at up to five primes with f mod p square-free proves f
+    irreducible once no degree but 0 and deg f is possible at all of them.
+    Otherwise (Zassenhaus) the factors at the prime with the fewest are
+    Hensel-lifted past the Mignotte bound and subset products of a possible
+    degree are trial-divided into f: f is reducible iff one divides."""
     if p.degree < 1:
         raise ValueError("irreducibility is about non-constant polynomials")
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i
-               for i, c in enumerate(p.coeffs))
-    return sympy.Poly(expr, x, domain="QQ").is_irreducible
+    return _is_irreducible(p)
 
 
 def trace_ratios(p_plus: RationalPoly, p_minus: RationalPoly) -> tuple[Fraction, Fraction, bool]:

@@ -5,7 +5,9 @@ enter unless the caller evaluates at a float/complex point.
 """
 
 from fractions import Fraction
-from math import lcm
+from itertools import combinations, count
+from math import gcd, isqrt, lcm
+from random import Random
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -190,8 +192,8 @@ def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
 
 
 def is_squarefree(p: RationalPoly) -> bool:
-    """gcd(p, p') is constant.  No library caller: kept as a test oracle and
-    for the benchmark tracer (`perfbench/tracing.TRACED`)."""
+    """gcd(p, p') is constant.  `_is_irreducible` calls it only when p has a
+    repeated factor mod each of several primes; the tests also use it as an oracle."""
     if p.degree < 1:
         raise ValueError("square-freeness is about non-constant polynomials")
     return poly_gcd(p, p.derivative()).degree == 0
@@ -259,6 +261,161 @@ def _integer_coeffs(p: RationalPoly) -> tuple[list[int], int]:
     """Coefficients of s*p as integers, descending, with s > 0 their common denominator."""
     s = lcm(*(c.denominator for c in p.coeffs))
     return [c.numerator * (s // c.denominator) for c in reversed(p.coeffs)], s
+
+
+# Polynomials mod m below are ascending int lists with trailing zeros trimmed;
+# a divisor's leading coefficient must be a unit mod m.  _mod_add is a + c*b.
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _mod_add(a: list[int], b: list[int], m: int, c: int = 1) -> list[int]:
+    a, b = a + [0] * (len(b) - len(a)), b + [0] * (len(a) - len(b))
+    return _trim([(x + c * y) % m for x, y in zip(a, b)])
+
+
+def _mod_mul(a: list[int], b: list[int], m: int, f: list[int] = ()) -> list[int]:
+    """a*b mod m, reduced mod f when a monic f is given."""
+    prod, low = [0] * (len(a) + len(b) - 1) if a and b else [], f[:-1]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    for i in range(len(prod) - len(f), -1, -1) if f else ():  # subtract c * x^i * f
+        c = prod.pop() % m
+        if c:
+            for j, y in enumerate(low, i):
+                prod[j] -= c * y
+    return _trim([c % m for c in prod])
+
+
+def _mod_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    a, db, inv = a[:], len(b) - 1, pow(b[-1], -1, m)
+    q, low = [0] * max(len(a) - db, 0), b[:-1]
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = c = a[i + db] * inv % m
+        if c:
+            for j, y in enumerate(low, i):
+                a[j] -= c * y
+    return _trim(q), _trim([c % m for c in a[:db]])
+
+
+def _mod_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd mod a prime p."""
+    a, b = a[:], b[:]
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):  # a = a mod b, in place
+            c = a.pop() * inv % p
+            for j, y in enumerate(b[:-1], len(a) - len(b) + 1):
+                a[j] = (a[j] - c * y) % p
+            _trim(a)
+        a, b = b, a
+    return _mod_mul(a, [pow(a[-1], -1, p)], p)
+
+
+def _mod_pow(a: list[int], e: int, f: list[int], m: int) -> list[int]:
+    """a^e mod (f, m) for a monic f, by left-to-right binary powering."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _mod_mul(out, out, m, f)
+        if bit == "1":
+            out = _mod_mul(out, a, m, f)
+    return out
+
+
+def _distinct_degree(f: list[int], p: int) -> list[tuple[int, list[int]]]:
+    """(d, product of the degree-d irreducible factors) of a monic square-free f mod p."""
+    out, h, d = [], [0, 1], 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = _mod_pow(h, p, f, p)  # x^(p^d) mod f
+        g = _mod_gcd(f, _mod_add(h, [0, 1], p, -1), p)
+        if len(g) > 1:
+            out.append((d, g))
+            f = _mod_divmod(f, g, p)[0]
+    return out + [(len(f) - 1, f)] * (len(f) > 1)
+
+
+def _equal_degree(todo: list[tuple[int, list[int]]], p: int) -> list[list[int]]:
+    """Split products g of degree-d factors mod p by gcd(a^((p^d - 1)/2) - 1, g)
+    (Cantor-Zassenhaus), with trials a from a private generator seeded by p."""
+    rng, out, todo = Random(p), [], list(todo)
+    while todo:
+        d, g = todo.pop()
+        if len(g) - 1 == d:
+            out.append(g)
+            continue
+        a = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
+        h = _mod_gcd(g, _mod_add(_mod_pow(a, (p**d - 1) // 2, g, p), [1], p, -1), p)
+        todo += [(d, h), (d, _mod_divmod(g, h, p)[0])] if 1 < len(h) < len(g) else [(d, g)]
+    return out
+
+
+def _zassenhaus(f: list[int], p: int, dd: list, degrees: set[int]) -> bool:
+    """Irreducibility of f from its distinct-degree factors `dd` mod p.
+
+    Hensel: if g | f mod m and f = g*h + m*e mod m*p, then g + m*(e/h mod g)
+    divides f mod m*p; 1/h mod g = h^(p^deg(g) - 2).  A factor g of f has
+    coefficients at most 2^n * ||f||_2 (Mignotte), so the residue in (-q/2, q/2]
+    of lc(f) times its factors' lifts is lc(f)/lc(g) * g.  g or f/g has at
+    most half of the factors mod p."""
+    lc, n, lifted = f[-1], len(f) - 1, []
+    q, bound = p, 2 * lc * 2**n * (isqrt(sum(c * c for c in f)) + 1)
+    while q <= bound:
+        q *= p
+    for g in _equal_degree(dd, p):
+        inv, m = _mod_pow(_mod_divmod(f, g, p)[0], p ** (len(g) - 1) - 2, g, p), p
+        while m < q:
+            e = [c // m for c in _mod_divmod(f, g, m * p)[1]]
+            g, m = _mod_add(g, _mod_mul(e, inv, p, g), m * p, m), m * p
+        lifted.append(g)
+    for size in range(1, len(lifted) // 2 + 1):
+        for subset in combinations(lifted, size):
+            if sum(len(g) - 1 for g in subset) in degrees:
+                g = [lc]
+                for h in subset:
+                    g = _mod_mul(g, h, q)
+                g = [c - q if 2 * c > q else c for c in g]
+                # lc(f)/lc(g) * g divides lc(f) * f in Z[x]: test the constant terms first
+                if g[0] and lc * f[0] % g[0] == 0 and (RationalPoly(f) % RationalPoly(g)).is_zero:
+                    return False
+    return True
+
+
+_DEGREE_PRIMES = 5  # good primes tried before the Zassenhaus fallback
+
+
+def _is_irreducible(poly: RationalPoly) -> bool:
+    """Irreducibility over Q of a non-constant poly; `pgst.is_irreducible` has the method."""
+    coeffs, _ = _integer_coeffs(poly)
+    content = gcd(*coeffs) * (1 if coeffs[0] > 0 else -1)
+    f = [c // content for c in reversed(coeffs)]  # primitive, lc > 0, ascending
+    n, degrees, best, good, bad = len(f) - 1, set(range(len(f))), (len(f),), 0, 0
+    if n == 1 or f[0] == 0:
+        return n == 1
+    for p in count(3, 2):
+        if f[-1] % p == 0 or any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+            continue
+        fp = _mod_mul(f, [pow(f[-1], -1, p)], p)
+        if len(_mod_gcd(fp, _trim([i * c % p for i, c in enumerate(fp)][1:]), p)) > 1:
+            # p divides the discriminant: a square-free f has finitely many such p
+            bad += 1
+            if bad == _DEGREE_PRIMES and not is_squarefree(poly):
+                return False
+            continue
+        dd, sums = _distinct_degree(fp, p), {0}
+        pattern = [d for d, g in dd for _ in range((len(g) - 1) // d)]
+        for d in pattern:
+            sums |= {s + d for s in sums}
+        degrees &= sums
+        if degrees == {0, n}:
+            return True
+        best, good = min(best, (len(pattern), p, dd)), good + 1
+        if good == _DEGREE_PRIMES:
+            return _zassenhaus(f, best[1], best[2], degrees)
 
 
 def resultant(p: RationalPoly, q: RationalPoly) -> Fraction:

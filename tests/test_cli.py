@@ -1,4 +1,8 @@
+import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -362,3 +366,74 @@ def test_envelope_cap_counts_samples(chain2_file, tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().out.startswith("best: tau=")
     assert main(argv + ["--tmax", "1.5"]) == 2
     assert capsys.readouterr().err == "error: grid has 4 samples, more than the limit of 3\n"
+
+
+@pytest.mark.parametrize(
+    "rows, bg",
+    [("1,nan\n2,1\n3,2\n", "0"), ("1,1\n2,inf\n3,2\n", "0"), ("1,3\n2,1\n3,2\n", "nan"),
+     ("1,3\n2,1\n3,2\n", "-inf")],
+    ids=["nan-intensity", "inf-intensity", "nan-bg", "-inf-bg"],
+)
+def test_intensities_refuses_non_finite_values(tmp_path, capsys, rows, bg):
+    csv = tmp_path / "meas.csv"
+    csv.write_text("site,intensity\n" + rows)
+    assert main(["intensities", str(csv), f"--bg={bg}", "-u", "1", "-v", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "finite" in captured.err
+
+
+def test_analyze_intensities_rejects_non_finite_values():
+    for values, background in (([1.0, float("nan")], 0.0), ([1.0, 2.0], float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            analyze_intensities(values, background, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "extra", [["--tau", "nan"], ["--tau", "inf"], ["--tau=-inf"], ["--tau", "1", "--phase", "nan"]]
+)
+def test_correlate_refuses_non_finite_tau_or_phase_before_eigh(
+    net_file, tmp_path, capsys, monkeypatch, extra
+):
+    monkeypatch.setattr(cli, "eigh", _no_envelope_eigh)
+    out = tmp_path / "corr.csv"
+    assert main(["correlate", net_file, "-u", "2", "-v", "6", *extra, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need finite --tau and --phase\n"
+    assert not out.exists()
+
+
+# Runs in src/ with sympy made unimportable, the argv of perfbench's stored
+# `latsym cert` reference included.
+SYMPY_BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["sympy"] = None  # every `import sympy` now raises ImportError
+try:
+    import sympy
+    blocked = False
+except ImportError:
+    blocked = True
+from latsym import cli, pgst_certificate
+from latsym.ninesite import build_ninesite
+ref = json.load(open("../perfbench/cli_reference.json"))["cert"]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(ref["argv"])
+print(json.dumps({
+    "blocked": blocked, "ref": ref, "exit": code, "stdout": out.getvalue(),
+    "report": pgst_certificate(build_ninesite(), 2, 6).report_text() + "\\n",
+}))
+"""
+
+
+def test_cert_runs_without_sympy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", SYMPY_BLOCKED], cwd=src, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["blocked"]
+    assert got["exit"] == got["ref"]["exit"] == 0
+    assert got["stdout"] == got["report"] == got["ref"]["stdout"]
