@@ -19,8 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .network import Network, has_swap_automorphism
-from .polynomial import RationalPoly, _is_irreducible, resultant
-from .spectral import _pair_polys
+from .polynomial import RationalPoly, _int_exact_div, _int_mul, _int_resultant, _is_irreducible
+from .spectral import _pair_polys, _PairPolys
 
 CERTIFIED = "CERTIFIED"
 LITERAL_CONDITION_FAILED = "LITERAL_CONDITION_FAILED"
@@ -41,13 +41,13 @@ class ParityDecomposition:
     minus_sign: int
 
 
-def _decompose(
-    phi_g: RationalPoly, p_plus: RationalPoly, p_minus: RationalPoly
-) -> ParityDecomposition:
-    # P+ and P- are coprime divisors of phi(G), so p_zero divides out exactly.
-    # a +/- b - lam = -(phi(G - v) -/+ A_uv)/D, where phi(G - v) is monic and
-    # A_uv has lower degree: both numerators lead with -1 before normalization.
-    return ParityDecomposition(p_plus, p_minus, phi_g.exact_div(p_plus * p_minus), -1, -1)
+def _decompose(pair: _PairPolys, p_plus: list[int], p_minus: list[int]) -> ParityDecomposition:
+    # P+ and P- are coprime monic divisors of phi(G) in Z[mu], so p_zero
+    # divides out exactly.  a +/- b - lam = -(phi(G - v) -/+ A_uv)/D, where
+    # phi(G - v) is monic and A_uv has lower degree: both numerators lead with
+    # -1 before normalization.
+    p_zero = _int_exact_div(pair.phi_g, _int_mul(p_plus, p_minus))
+    return ParityDecomposition(*map(pair.lam, (p_plus, p_minus, p_zero)), -1, -1)
 
 
 def parity_decompose(net: Network, u: int, v: int) -> ParityDecomposition:
@@ -61,9 +61,9 @@ def parity_decompose(net: Network, u: int, v: int) -> ParityDecomposition:
     if pair is None:
         raise PGSTError(f"pair ({u}, {v}) is not cospectral")
     p_plus, p_minus = pair.parity_factors()
-    if resultant(p_plus, p_minus) == 0:
+    if _int_resultant(p_plus, p_minus) == 0:
         raise PGSTError(f"pair ({u}, {v}) is not strongly cospectral")
-    return _decompose(pair.phi_g, p_plus, p_minus)
+    return _decompose(pair, p_plus, p_minus)
 
 
 def is_irreducible(p: RationalPoly) -> bool:
@@ -187,14 +187,14 @@ def pgst_certificate(net: Network, u: int, v: int) -> PGSTCertificate:
         return cert
 
     p_plus, p_minus = pair.parity_factors()
-    strong = resultant(p_plus, p_minus) != 0
+    strong = _int_resultant(p_plus, p_minus) != 0
     cert.strongly_cospectral = strong
     if not strong:
         cert.verdict = NOT_STRONGLY_COSPECTRAL
         cert.notes = "the reduction has a repeated non-linear eigenvalue"
         return cert
 
-    dec = _decompose(pair.phi_g, p_plus, p_minus)
+    dec = _decompose(pair, p_plus, p_minus)
     cert.p_plus, cert.p_minus, cert.p_zero = dec.p_plus, dec.p_minus, dec.p_zero
     cert.plus_sign, cert.minus_sign = dec.plus_sign, dec.minus_sign
     cert.plus_irreducible = is_irreducible(dec.p_plus)
@@ -263,9 +263,10 @@ class BoundaryReport:
         return "\n".join(lines)
 
 
-def _real_roots(p: RationalPoly) -> np.ndarray:
-    coeffs = [float(p[i]) for i in range(p.degree, -1, -1)]
-    return np.sort(np.roots(coeffs).real)
+def _real_roots(p: list[int], d: int) -> np.ndarray:
+    """Sorted real parts of the roots in lam of an integer polynomial p in mu = d*lam."""
+    m = len(p) - 1
+    return np.sort(np.roots([p[i] / d ** (m - i) for i in range(m, -1, -1)]).real)
 
 
 def boundary_scan(
@@ -297,12 +298,13 @@ def boundary_scan(
         if pair is None:
             raise PGSTError(f"pair ({u}, {v}) is not cospectral at E = {e_val}")
         p_plus, p_minus = pair.parity_factors()
-        res = resultant(p_plus, p_minus)
+        # Res_mu(P+, P-) = d^(deg P+ * deg P-) * Res_lam(P+, P-): the same sign
+        res = _int_resultant(p_plus, p_minus)
         common = res == 0
         sign = 0 if res == 0 else (1 if res > 0 else -1)
-        rp = _real_roots(p_plus)
-        rm = _real_roots(p_minus)
-        degrees.append((p_plus.degree, p_minus.degree))
+        rp = _real_roots(p_plus, pair.d)
+        rm = _real_roots(p_minus, pair.d)
+        degrees.append((len(p_plus) - 1, len(p_minus) - 1))
         dist = float(np.abs(rp[:, None] - rm[None, :]).min())
         points.append(
             BoundaryPoint(

@@ -1,7 +1,13 @@
 """Exact univariate polynomials and reduced rational functions over Q.
 
-Coefficients are `fractions.Fraction`; everything here is exact — no floats
-enter unless the caller evaluates at a float/complex point.
+`RationalPoly` and `RationalFunction` hold `fractions.Fraction` coefficients.
+Underneath them is an integer core on ascending lists of Python ints: one gcd
+(`_int_gcd`, a primitive PRS), exact division, the Bareiss resultant, and the
+mod-p arithmetic of the irreducibility test.  `poly_gcd` and `resultant`
+scale their inputs to integers and call that core; the spectral layer works
+on it directly and builds `RationalPoly` only for what it returns.
+Everything here is exact: no floats enter unless the caller evaluates at a
+float/complex point.
 """
 
 from fractions import Fraction
@@ -185,10 +191,9 @@ def format_poly(p: RationalPoly, var: str = "lam") -> str:
 
 
 def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    """Monic gcd by the Euclidean algorithm; gcd(0,0) = 0."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a if a.is_zero else a.monic()
+    """Monic gcd, taken by `_int_gcd` on the primitive integer forms; gcd(0,0) = 0."""
+    g = _int_gcd(_integer_coeffs(a)[0], _integer_coeffs(b)[0])
+    return RationalPoly([Fraction(c, g[-1]) for c in g])
 
 
 def is_squarefree(p: RationalPoly) -> bool:
@@ -258,31 +263,119 @@ def _bareiss_det(a: list[list[int]]) -> int:
 
 
 def _integer_coeffs(p: RationalPoly) -> tuple[list[int], int]:
-    """Coefficients of s*p as integers, descending, with s > 0 their common denominator."""
+    """Coefficients of s*p as integers, ascending, with s > 0 their common denominator."""
     s = lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (s // c.denominator) for c in reversed(p.coeffs)], s
+    return [c.numerator * (s // c.denominator) for c in p.coeffs], s
 
 
-# Polynomials mod m below are ascending int lists with trailing zeros trimmed;
-# a divisor's leading coefficient must be a unit mod m.  _mod_add is a + c*b.
+def _lam_poly(p: list[int], d: int, deg: int | None = None) -> RationalPoly:
+    """The polynomial P in lam of an integer polynomial p in mu = d*lam (ascending).
+
+    p(mu) = d^deg * P(mu/d), deg = deg(p) unless given, so the coefficient of
+    lam^i is p_i/d^(deg - i).
+    """
+    deg = len(p) - 1 if deg is None else deg
+    return RationalPoly([Fraction(c, d ** (deg - i)) for i, c in enumerate(p)])
+
+
+# Integer polynomials below are ascending int lists with trailing zeros trimmed,
+# [] for 0.  By Gauss's lemma a gcd or an exact quotient over Q of primitive
+# integer polynomials is, up to a unit, again primitive in Z[x].
 def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
-def _mod_add(a: list[int], b: list[int], m: int, c: int = 1) -> list[int]:
+def _primitive(f: list[int]) -> list[int]:
+    """f divided by its content, signed so the leading coefficient is positive."""
+    c = gcd(*f) if f[-1] > 0 else -gcd(*f)
+    return [x // c for x in f]
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd with positive leading coefficient; [] when a = b = 0.
+
+    Primitive PRS (Collins): a, b -> b, pp(prem(a, b)), where the pseudo-
+    remainder scales a by powers of lc(b) (cut by their gcd with the leading
+    term) so each step stays in Z[x]; a content shared by a and b drops out
+    with the first primitive parts.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return _primitive(a) if a else []
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r, low, lb = a[:], b[:-1], b[-1]
+        while len(r) >= len(b):  # r = pseudo-remainder of r by b, in place
+            c = r.pop()
+            g = gcd(c, lb)
+            s, c = lb // g, c // g
+            if s != 1:
+                r = [x * s for x in r]
+            for j, y in enumerate(low, len(r) - len(low)):
+                r[j] -= c * y
+            _trim(r)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return b  # a primitive constant: [1]
+
+
+def _int_add(a: list[int], b: list[int], c: int = 1) -> list[int]:
+    """a + c*b."""
     a, b = a + [0] * (len(b) - len(a)), b + [0] * (len(a) - len(b))
-    return _trim([(x + c * y) % m for x, y in zip(a, b)])
+    return _trim([x + c * y for x, y in zip(a, b)])
 
 
-def _mod_mul(a: list[int], b: list[int], m: int, f: list[int] = ()) -> list[int]:
-    """a*b mod m, reduced mod f when a monic f is given."""
-    prod, low = [0] * (len(a) + len(b) - 1) if a and b else [], f[:-1]
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b, i):
                 prod[j] += x * y
+    return prod
+
+
+def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
+    """a/b for b != 0 dividing a in Z[x]; raises ValueError otherwise."""
+    a, db, lb = a[:], len(b) - 1, b[-1]
+    q, low = [0] * max(len(a) - db, 0), b[:-1]
+    for i in range(len(q) - 1, -1, -1):
+        c, rem = divmod(a.pop(), lb)
+        if rem:
+            raise ValueError("exact polynomial division left a remainder")
+        q[i] = c
+        if c:
+            for j, y in enumerate(low, i):
+                a[j] -= c * y
+    if any(a):
+        raise ValueError("exact polynomial division left a remainder")
+    return q
+
+
+def _int_resultant(p: list[int], q: list[int]) -> int:
+    """Resultant of non-zero integer polynomials: the Sylvester determinant, by Bareiss."""
+    m, n = len(p) - 1, len(q) - 1
+    if m == 0 or n == 0:
+        return p[0] ** n if m == 0 else q[0] ** m
+    size = m + n
+    pc, qc = p[::-1], q[::-1]
+    rows = [[0] * i + pc + [0] * (size - m - 1 - i) for i in range(n)]
+    rows += [[0] * i + qc + [0] * (size - n - 1 - i) for i in range(m)]
+    return _bareiss_det(rows)
+
+
+# Polynomials mod m below are integer polynomials with coefficients in [0, m);
+# a divisor's leading coefficient must be a unit mod m.  _mod_add is a + c*b.
+def _mod_add(a: list[int], b: list[int], m: int, c: int = 1) -> list[int]:
+    return _trim([x % m for x in _int_add(a, b, c)])
+
+
+def _mod_mul(a: list[int], b: list[int], m: int, f: list[int] = ()) -> list[int]:
+    """a*b mod m, reduced mod f when a monic f is given."""
+    prod, low = _int_mul(a, b), f[:-1]
     for i in range(len(prod) - len(f), -1, -1) if f else ():  # subtract c * x^i * f
         c = prod.pop() % m
         if c:
@@ -390,9 +483,7 @@ _DEGREE_PRIMES = 5  # good primes tried before the Zassenhaus fallback
 
 def _is_irreducible(poly: RationalPoly) -> bool:
     """Irreducibility over Q of a non-constant poly; `pgst.is_irreducible` has the method."""
-    coeffs, _ = _integer_coeffs(poly)
-    content = gcd(*coeffs) * (1 if coeffs[0] > 0 else -1)
-    f = [c // content for c in reversed(coeffs)]  # primitive, lc > 0, ascending
+    f = _primitive(_integer_coeffs(poly)[0])
     n, degrees, best, good, bad = len(f) - 1, set(range(len(f))), (len(f),), 0, 0
     if n == 1 or f[0] == 0:
         return n == 1
@@ -423,17 +514,10 @@ def resultant(p: RationalPoly, q: RationalPoly) -> Fraction:
     m, n = p.degree, q.degree
     if m < 0 or n < 0:
         raise ValueError("resultant of the zero polynomial is undefined")
-    if m == 0:
-        return p.leading ** n
-    if n == 0:
-        return q.leading ** m
     # Res(s*p, t*q) = s^n t^m Res(p, q); s, t > 0 keep the sign.
     pc, s = _integer_coeffs(p)
     qc, t = _integer_coeffs(q)
-    size = m + n
-    rows = [[0] * i + pc + [0] * (size - m - 1 - i) for i in range(n)]
-    rows += [[0] * i + qc + [0] * (size - n - 1 - i) for i in range(m)]
-    return Fraction(_bareiss_det(rows), s**n * t**m)
+    return Fraction(_int_resultant(pc, qc), s**n * t**m)
 
 
 class RationalFunction:

@@ -7,6 +7,15 @@ entry of the polynomial adjugate adj(lam*I - H).  For a pair (u, v) the
 diagonal entries are phi(G - u) and phi(G - v) (equal exactly when the pair is
 cospectral) and the off-diagonal entry is A_uv.
 
+Integer polynomials.  With A = dH, d the common denominator of H, and
+mu = d*lam, det(mu*I - A) = d^n phi(G) and adj(mu*I - A) =
+d^(n-1) adj(lam*I - H) have integer coefficients, and det(mu*I - A) is monic.
+So the pair polynomials below are integer lists in mu, and by Gauss's lemma
+their gcds with it and the quotients are monic in Z[mu].  A polynomial scaled
+by d^m (m its degree, or n - 1 for an off-diagonal adjugate entry) becomes one
+in lam by dividing its coefficient of mu^i by d^(m-i).  The resultant of two
+monic polynomials of degrees m and k grows by d^(m*k), so it keeps its sign.
+
 Strong cospectrality.  With E_theta the eigenprojectors of H,
 G_vv +/- G_uv = (phi(G - v) +/- A_uv)/phi(G)
               = sum_theta |E_theta (e_u +/- e_v)|^2/2 * 1/(lam - theta),
@@ -26,17 +35,26 @@ coefficients B_k = sum_(j<=k) c_(k-j) A^j (c_0 = 1) are unitriangular in the
 powers, so adj_uw = adj_vw iff (A^j)_uw = (A^j)_vw for every j < n, w = u, v
 included; and z_j[u] + z_j[v] = (A^j)_uu - (A^j)_vv, as A^j is symmetric.
 
-Everything in this module is exact rational arithmetic; identical inputs give
-bit-identical outputs.
+Everything in this module is exact integer or rational arithmetic; identical
+inputs give bit-identical outputs.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Callable
 
 from .network import Network, has_swap_automorphism
-from .polynomial import RationalFunction, RationalPoly, poly_gcd, resultant
+from .polynomial import (
+    RationalFunction,
+    RationalPoly,
+    _int_add,
+    _int_exact_div,
+    _int_gcd,
+    _int_mul,
+    _int_resultant,
+    _lam_poly,
+    _trim,
+)
 
 
 class SpectralError(ValueError):
@@ -69,16 +87,17 @@ def _walk_singlets(net: Network, u: int, v: int) -> frozenset[int] | None:
     return frozenset(w + 1 for w in alive)
 
 
-def _adjugate(net: Network) -> tuple[RationalPoly, Callable[[int, int], RationalPoly]]:
-    """phi(G) and a reader entry(i, j) of [adj(lam*I - H)]_ij, 0-based sites.
+def _adjugate(net: Network) -> tuple[int, list[int], Callable[[int, int], list[int]]]:
+    """d, phi(G) and a reader entry(i, j) of [adj(lam*I - H)]_ij, 0-based sites,
+    as integer polynomials in mu = d*lam (ascending lists).
 
     Faddeev-LeVerrier on A = d*H, d the common denominator of H, in Python
     integers: B_0 = I, c_k = -tr(A B_(k-1))/k (an exact division, since the
     c_k are the coefficients of det(mu*I - A)) and B_k = A B_(k-1) + c_k I.
-    Then phi(G) = sum c_k/d^k lam^(n-k) and adj(lam*I - H) =
-    sum B_k/d^k lam^(n-1-k).  Every B_k is a polynomial in the symmetric A,
-    so it is symmetric: only the upper triangle of each product is formed,
-    and tr(A B) is read elementwise as the sum of A_ij B_ij.
+    Then det(mu*I - A) = d^n phi(G) = sum c_k mu^(n-k) and adj(mu*I - A) =
+    d^(n-1) adj(lam*I - H) = sum B_k mu^(n-1-k).  Every B_k is a polynomial
+    in the symmetric A, so it is symmetric: only the upper triangle of each
+    product is formed, and tr(A B) is read elementwise as the sum of A_ij B_ij.
     """
     n = net.n
     d, a = _scaled_rows(net)
@@ -95,17 +114,17 @@ def _adjugate(net: Network) -> tuple[RationalPoly, Callable[[int, int], Rational
                 b[i][j] = b[j][i] = sum(x * prev[l][j] for l, x in row)
             b[i][i] += c
         bs.append(b)
-    phi = RationalPoly([Fraction(cs[k], d**k) for k in range(n, -1, -1)])
 
-    def entry(i: int, j: int) -> RationalPoly:
-        return RationalPoly([Fraction(bs[k][i][j], d**k) for k in range(n - 1, -1, -1)])
+    def entry(i: int, j: int) -> list[int]:
+        return _trim([bs[k][i][j] for k in range(n - 1, -1, -1)])
 
-    return phi, entry
+    return d, cs[::-1], entry
 
 
 def char_poly(net: Network) -> RationalPoly:
     """det(lam*I - H) as an exact monic polynomial."""
-    return _adjugate(net)[0]
+    d, phi, _ = _adjugate(net)
+    return _lam_poly(phi, d)
 
 
 def is_cospectral(net: Network, u: int, v: int) -> bool:
@@ -115,17 +134,28 @@ def is_cospectral(net: Network, u: int, v: int) -> bool:
 
 @dataclass(frozen=True)
 class _PairPolys:
-    """The adjugate entries that describe a cospectral pair (u, v)."""
+    """The adjugate entries that describe a cospectral pair (u, v), as integer
+    polynomials in mu = d*lam; `lam` turns one into its polynomial in lam."""
 
-    phi_g: RationalPoly  # phi(G)
-    phi: RationalPoly  # phi(G - u) = phi(G - v), monic of degree n - 1
-    a_uv: RationalPoly  # [adj(lam*I - H)]_uv, of degree below n - 1
+    d: int
+    phi_g: list[int]  # phi(G), monic of degree n
+    phi: list[int]  # phi(G - u) = phi(G - v), monic of degree n - 1
+    a_uv: list[int]  # [adj(mu*I - A)]_uv, scaled by d^(n-1) like phi but of lower degree
 
-    def parity_factors(self) -> tuple[RationalPoly, RationalPoly]:
-        """P+ and P-, the reduced denominators of (phi(G - v) +/- A_uv)/phi(G)."""
-        plus = poly_gcd(self.phi_g, self.phi + self.a_uv)
-        minus = poly_gcd(self.phi_g, self.phi - self.a_uv)
-        return self.phi_g.exact_div(plus), self.phi_g.exact_div(minus)
+    def lam(self, p: list[int], deg: int | None = None) -> RationalPoly:
+        """p(mu) = d^deg * P(mu/d) as P(lam); deg defaults to deg p (`_lam_poly`)."""
+        return _lam_poly(p, self.d, deg)
+
+    def parity_factors(self) -> tuple[list[int], list[int]]:
+        """P+ and P- in mu, the reduced denominators of (phi(G - v) +/- A_uv)/phi(G).
+
+        phi(G) is monic, so each gcd, and each quotient, is monic in Z[mu].
+        """
+        plus, minus = (
+            _int_exact_div(self.phi_g, _int_gcd(self.phi_g, _int_add(self.phi, self.a_uv, s)))
+            for s in (1, -1)
+        )
+        return plus, minus
 
 
 def _pair_polys(net: Network, u: int, v: int) -> _PairPolys | None:
@@ -134,11 +164,11 @@ def _pair_polys(net: Network, u: int, v: int) -> _PairPolys | None:
     phi(G - u) and phi(G - v) are the diagonal entries adj_uu and adj_vv.
     """
     net.check_pair(u, v)
-    phi_g, entry = _adjugate(net)
+    d, phi_g, entry = _adjugate(net)
     phi_v = entry(v - 1, v - 1)
     if entry(u - 1, u - 1) != phi_v:
         return None
-    return _PairPolys(phi_g=phi_g, phi=phi_v, a_uv=entry(u - 1, v - 1))
+    return _PairPolys(d=d, phi_g=phi_g, phi=phi_v, a_uv=entry(u - 1, v - 1))
 
 
 def is_latent_symmetric(net: Network, u: int, v: int) -> bool:
@@ -167,7 +197,9 @@ def isospectral_reduction(net: Network, u: int, v: int) -> ReductionMatrix:
 
     Entries come out as fully reduced rational functions in lam:
     a = (lam*D - phi(G - v))/D and b = A_uv/D with D = phi(G - {u, v}), from
-    the Jacobi identity phi(G - v)^2 - A_uv^2 = phi(G) D by exact division.
+    the Jacobi identity phi(G - v)^2 - A_uv^2 = phi(G) D.  D is an exact
+    division in Z[mu]: scaled by d^(2n-2), the identity divides the monic
+    d^n phi(G) into the squares of the adjugate entries, with quotient d^(n-2) D.
     Equal diagonal entries are required (they are equal exactly when the pair
     is cospectral); otherwise this raises.
     """
@@ -176,10 +208,11 @@ def isospectral_reduction(net: Network, u: int, v: int) -> ReductionMatrix:
         raise SpectralError(
             "reduction is not bisymmetric for this pair (the pair is not cospectral)"
         )
-    d = (pair.phi * pair.phi - pair.a_uv * pair.a_uv).exact_div(pair.phi_g)
+    sq = _int_add(_int_mul(pair.phi, pair.phi), _int_mul(pair.a_uv, pair.a_uv), -1)
+    den, phi = pair.lam(_int_exact_div(sq, pair.phi_g)), pair.lam(pair.phi)
     return ReductionMatrix(
-        a=RationalFunction(RationalPoly.x() * d - pair.phi, d),
-        b=RationalFunction(pair.a_uv, d),
+        a=RationalFunction(RationalPoly.x() * den - phi, den),
+        b=RationalFunction(pair.lam(pair.a_uv, len(pair.phi) - 1), den),
     )
 
 
@@ -201,4 +234,4 @@ def is_strongly_cospectral(net: Network, u: int, v: int) -> bool:
     Decided as resultant(P+, P-) != 0 (see the module docstring).
     """
     pair = _pair_polys(net, u, v)
-    return pair is not None and resultant(*pair.parity_factors()) != 0
+    return pair is not None and _int_resultant(*pair.parity_factors()) != 0

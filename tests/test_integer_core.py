@@ -1,0 +1,255 @@
+"""The integer polynomial core: `_int_gcd` against sympy, and the pair path in
+mu = d*lam against a local copy of the Euclidean gcd over `Fraction` it replaced.
+
+sympy and the local Euclidean copy are the independent oracles here; neither
+calls latsym's gcd.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+import sympy
+
+from latsym import polynomial
+from latsym.network import Network
+from latsym.ninesite import build_ninesite
+from latsym.pgst import BoundaryPoint, boundary_scan, parity_decompose, pgst_certificate
+from latsym.polynomial import (
+    RationalPoly,
+    _int_exact_div,
+    _int_gcd,
+    _int_mul,
+    _int_resultant,
+    det_fraction,
+    poly_gcd,
+)
+from latsym.spectral import (
+    _adjugate,
+    _pair_polys,
+    is_strongly_cospectral,
+    isospectral_reduction,
+)
+
+X = sympy.Symbol("x")
+K = Fraction(27, 50)
+SCAN_GRID = [Fraction(i, 100) for i in range(-50, 151)]
+
+
+def sympy_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of ascending integer lists, leading coefficient > 0, by sympy."""
+    if not a and not b:
+        return []
+    g = sympy.Poly(a[::-1] or [0], X, domain="ZZ").gcd(sympy.Poly(b[::-1] or [0], X, domain="ZZ"))
+    _, g = g.primitive()
+    coeffs = [int(c) for c in g.all_coeffs()[::-1]]
+    return coeffs if coeffs[-1] > 0 else [-c for c in coeffs]
+
+
+def random_int_poly(rng, deg, size=20):
+    lead = rng.choice([-1, 1]) * rng.randint(1, size)
+    return [rng.randint(-size, size) for _ in range(deg)] + [lead]
+
+
+def test_int_gcd_matches_sympy_on_planted_common_factors():
+    rng = random.Random(1967)
+    for trial in range(1200):
+        size = 10**12 if trial % 10 == 0 else 20
+        a, b, c = (random_int_poly(rng, rng.randint(0, 6), size) for _ in range(3))
+        content = rng.choice([1, 1, 2, 6, -15])
+        pa, pb = _int_mul(_int_mul(a, c), [content]), _int_mul(b, c)
+        got = _int_gcd(pa, pb)
+        assert got == sympy_gcd(pa, pb), (pa, pb)
+        assert got == _int_gcd(pb, pa)
+        assert len(got) >= len(c)
+
+
+@pytest.mark.parametrize(
+    "a, b, want",
+    [
+        ([], [], []),  # gcd(0, 0) = 0
+        ([], [0, -4, 6], [0, -2, 3]),  # gcd(0, b) = pp(b), sign fixed
+        ([5], [], [1]),
+        ([5], [3, 1], [1]),  # constants
+        ([-7], [-14], [1]),
+        ([1, 1], [-1, 1], [1]),  # coprime
+        ([2, 0, -4], [2, 0, -4], [-1, 0, 2]),  # equal, content 2, negative after pp
+        ([-1, 0, 1], [1, 1], [1, 1]),  # one divides the other
+        ([6, 6], [-3, 0, 3], [1, 1]),  # content > 1 on both sides
+        ([0, 0, -6, -6], [0, 4, 4], [0, 1, 1]),  # negative leading coefficient
+        ([1, 0, 1], [1, 0, 0, 0, 1], [1]),
+    ],
+)
+def test_int_gcd_edge_cases(a, b, want):
+    assert _int_gcd(a, b) == want == sympy_gcd(a, b)
+    assert _int_gcd(b, a) == want
+
+
+def test_poly_gcd_is_the_integer_gcd_made_monic():
+    rng = random.Random(71)
+
+    def qq(p):
+        coeffs = [sympy.Rational(x.numerator, x.denominator) for x in reversed(p.coeffs)]
+        return sympy.Poly(coeffs or [0], X, domain="QQ")
+
+    for _ in range(200):
+        a, b, c = (
+            RationalPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                          for _ in range(rng.randint(1, 5))])
+            for _ in range(3)
+        )
+        want = qq(a * c).gcd(qq(b * c))
+        coeffs = [] if want.is_zero else reversed(want.all_coeffs())
+        assert poly_gcd(a * c, b * c) == RationalPoly([Fraction(int(x.p), int(x.q)) for x in coeffs])
+
+
+def test_int_exact_div_refuses_a_remainder():
+    assert _int_exact_div([-1, 0, 1], [1, 1]) == [-1, 1]
+    assert _int_exact_div([], [3, 1]) == []
+    with pytest.raises(ValueError):
+        _int_exact_div([1, 0, 1], [1, 1])
+    with pytest.raises(ValueError):
+        _int_exact_div([1, 2], [0, 2])  # divisible over Q, not in Z[x]
+    with pytest.raises(ValueError):
+        _int_exact_div([1], [1, 1])
+
+
+@pytest.mark.parametrize("coupling", [Fraction(10**7), Fraction(1, 10**13), K])
+def test_nine_site_parity_factors_match_sympy(coupling):
+    pair = _pair_polys(build_ninesite(coupling), 2, 6)
+    for sign, p in zip((1, -1), pair.parity_factors()):
+        num = [x + sign * y for x, y in itertools.zip_longest(pair.phi, pair.a_uv, fillvalue=0)]
+        g = sympy_gcd(pair.phi_g, num)
+        quo = sympy.Poly(pair.phi_g[::-1], X).exquo(sympy.Poly(g[::-1], X))
+        assert p == [int(c) for c in quo.all_coeffs()[::-1]]
+        assert p[-1] == 1
+
+
+# ---------------------------------------------------------------------------
+# The old pair path, copied here: polynomials in lam over Fraction, parity
+# factors by the Euclidean gcd, the resultant as a Fraction Gauss determinant.
+
+def euclid_gcd(a, b):
+    while not b.is_zero:
+        a, b = b, a % b
+    return a if a.is_zero else a.monic()
+
+
+def old_pair(net, u, v):
+    d, phi_mu, entry = _adjugate(net)
+    n = net.n
+
+    def lam(p, deg):
+        return RationalPoly([Fraction(c, d ** (deg - i)) for i, c in enumerate(p)])
+
+    return lam(phi_mu, n), lam(entry(v - 1, v - 1), n - 1), lam(entry(u - 1, v - 1), n - 1)
+
+
+def old_parity_factors(phi_g, phi, a_uv):
+    plus = euclid_gcd(phi_g, phi + a_uv)
+    minus = euclid_gcd(phi_g, phi - a_uv)
+    return phi_g.exact_div(plus), phi_g.exact_div(minus)
+
+
+def old_reduced(num, den):
+    g = euclid_gcd(num, den)
+    num, den = num.exact_div(g), den.exact_div(g)
+    return num * (1 / den.leading), den.monic()
+
+
+def sylvester_resultant(p, q):
+    m, n = p.degree, q.degree
+    if m == 0 or n == 0:
+        return p.leading ** n if m == 0 else q.leading ** m
+    pc, qc = list(reversed(p.coeffs)), list(reversed(q.coeffs))
+    rows = [[Fraction(0)] * i + pc + [Fraction(0)] * (n - 1 - i) for i in range(n)]
+    rows += [[Fraction(0)] * i + qc + [Fraction(0)] * (m - 1 - i) for i in range(m)]
+    return det_fraction(rows)
+
+
+def old_roots(p):
+    return np.sort(np.roots([float(p[i]) for i in range(p.degree, -1, -1)]).real)
+
+
+def old_boundary(builder, k, grid, u=2, v=6):
+    points, degrees = [], []
+    for e in grid:
+        p_plus, p_minus = old_parity_factors(*old_pair(builder(k, e), u, v))
+        res = sylvester_resultant(p_plus, p_minus)
+        sign = 0 if res == 0 else (1 if res > 0 else -1)
+        rp, rm = old_roots(p_plus), old_roots(p_minus)
+        degrees.append((p_plus.degree, p_minus.degree))
+        dist = float(np.abs(rp[:, None] - rm[None, :]).min())
+        points.append(BoundaryPoint(e, res != 0, res != 0, res == 0, sign, dist))
+    brackets, last = [], {}
+    for point, degs in zip(points, degrees):
+        prev = last.get(degs)
+        if point.resultant_sign == 0:
+            brackets.append((point.potential, point.potential))
+        elif prev is not None and prev.resultant_sign * point.resultant_sign < 0:
+            brackets.append((prev.potential, point.potential))
+        last[degs] = point
+    return tuple(points), tuple(sorted(brackets))
+
+
+def test_boundary_report_is_identical_on_the_201_point_grid():
+    report = boundary_scan(build_ninesite, K, SCAN_GRID)
+    points, brackets = old_boundary(build_ninesite, K, SCAN_GRID)
+    assert report.points == points
+    assert report.brackets == brackets
+    assert report.exact_failures == () and len(brackets) == 3  # near -0.22, 0.22 and 1.30
+
+
+def test_pair_outputs_are_identical_to_the_euclidean_path(oracle_networks):
+    nets = list(oracle_networks)
+    nets += [build_ninesite(K, e) for e in SCAN_GRID[::20]]
+    nets += [build_ninesite(Fraction(10**7)), build_ninesite(Fraction(1, 10**13))]
+    nets.append(Network(4, [Fraction(0)] * 4, [(1, 2, Fraction(1)), (3, 4, Fraction(1))]))
+    seen = {True: 0, False: 0}
+    for net in nets:
+        for u, v in itertools.combinations(range(1, net.n + 1), 2):
+            pair = _pair_polys(net, u, v)
+            if pair is None:
+                continue
+            phi_g, phi, a_uv = old_pair(net, u, v)
+            p_plus, p_minus = old_parity_factors(phi_g, phi, a_uv)
+            assert tuple(map(pair.lam, pair.parity_factors())) == (p_plus, p_minus)
+            strong = sylvester_resultant(p_plus, p_minus) != 0
+            seen[strong] += 1
+            assert is_strongly_cospectral(net, u, v) == strong
+            cert = pgst_certificate(net, u, v)
+            assert cert.strongly_cospectral == strong
+            if strong:
+                p_zero = phi_g.exact_div(p_plus * p_minus)
+                dec = parity_decompose(net, u, v)
+                assert (dec.p_plus, dec.p_minus, dec.p_zero) == (p_plus, p_minus, p_zero)
+                assert (cert.p_plus, cert.p_minus, cert.p_zero) == (p_plus, p_minus, p_zero)
+            jacobi = (phi * phi - a_uv * a_uv).exact_div(phi_g)
+            red = isospectral_reduction(net, u, v)
+            assert (red.a.num, red.a.den) == old_reduced(RationalPoly.x() * jacobi - phi, jacobi)
+            assert (red.b.num, red.b.den) == old_reduced(a_uv, jacobi)
+    assert seen[True] >= 20 and seen[False] >= 1
+
+
+def test_pair_path_builds_no_rational_polynomial(monkeypatch):
+    # boundary_scan and the strong-cospectrality test stay in Z[mu] end to end
+    def refuse(*args):
+        raise AssertionError("Fraction polynomial arithmetic on the pair path")
+
+    for name in ("__init__", "__add__", "__mul__", "__divmod__"):
+        monkeypatch.setattr(RationalPoly, name, refuse)
+    monkeypatch.setattr(polynomial, "poly_gcd", refuse)
+    report = boundary_scan(build_ninesite, K, SCAN_GRID[70:76])
+    assert [p.potential for p in report.points] == SCAN_GRID[70:76]
+    assert is_strongly_cospectral(build_ninesite(), 2, 6)
+
+
+def test_mu_resultant_keeps_the_sign_and_scales_by_d_to_the_degree_product():
+    for e in SCAN_GRID[::10]:
+        pair = _pair_polys(build_ninesite(K, e), 2, 6)
+        p_plus, p_minus = pair.parity_factors()
+        res_lam = sylvester_resultant(pair.lam(p_plus), pair.lam(p_minus))
+        scale = pair.d ** ((len(p_plus) - 1) * (len(p_minus) - 1))
+        assert _int_resultant(p_plus, p_minus) == res_lam * scale

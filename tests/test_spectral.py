@@ -3,16 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from latsym.network import Network
 from latsym.ninesite import build_ninesite
-from latsym.polynomial import (
-    RationalFunction,
-    RationalPoly,
-    det_fraction,
-    is_squarefree,
-    poly_gcd,
-)
+from latsym.polynomial import RationalFunction, RationalPoly, _lam_poly, det_fraction
 from latsym.spectral import (
     SpectralError,
     _adjugate,
@@ -39,6 +34,18 @@ P_PLUS = RationalPoly(
         1,
     ]
 )
+
+
+X = sympy.Symbol("x")
+
+
+def to_sympy(p):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
+                      X, domain="QQ")
+
+
+def from_sympy(q):
+    return RationalPoly([Fraction(int(c.p), int(c.q)) for c in reversed(q.all_coeffs())])
 
 
 def path_network(n, k=Fraction(1), onsite=None):
@@ -315,8 +322,14 @@ def test_minor_engine_satisfies_jacobi_identity_against_cofactors(oracle_network
     for net in SMALL_NETWORKS + oracle_networks:
         n = net.n
         h = net.hamiltonian()
-        phi, entry = _adjugate(net)
+        scale, phi_mu, entry_mu = _adjugate(net)
+        phi = _lam_poly(phi_mu, scale)
         assert phi == char_poly(net)
+
+        def entry(i, j):
+            # every entry of adj(mu*I - dH) is d^(n-1) adj(lam*I - H) at lam = mu/d
+            return _lam_poly(entry_mu(i, j), scale, n - 1)
+
         # n+1 points pin down every polynomial of degree <= n
         points = []
         for lam in range(n + 1):
@@ -350,7 +363,9 @@ def test_minor_engine_satisfies_jacobi_identity_against_cofactors(oracle_network
             pair = _pair_polys(net, u, v)
             assert (pair is not None) == (phi_u == phi_v)
             if pair is not None:
-                assert (pair.phi_g, pair.phi, pair.a_uv) == (phi, phi_v, a_uv)
+                assert (pair.d, pair.phi_g) == (scale, phi_mu)
+                assert (pair.phi, pair.a_uv) == (entry_mu(v - 1, v - 1), entry_mu(u - 1, v - 1))
+                assert (pair.lam(pair.phi), pair.lam(pair.a_uv, n - 1)) == (phi_v, a_uv)
 
 
 def test_exact_engine_at_extreme_couplings():
@@ -472,7 +487,12 @@ def test_parity_factors_and_strong_cospectrality_match_the_reduction(oracle_netw
     )
     counts = {True: 0, False: 0}
     for net in nets:
-        phi_g, entry = _adjugate(net)
+        scale, phi_mu, entry_mu = _adjugate(net)
+        phi_g = _lam_poly(phi_mu, scale)
+
+        def entry(i, j, net=net):
+            return _lam_poly(entry_mu(i, j), scale, net.n - 1)
+
         for u, v in itertools.combinations(range(1, net.n + 1), 2):
             pair = _pair_polys(net, u, v)
             cospectral = entry(u - 1, u - 1) == entry(v - 1, v - 1)
@@ -490,11 +510,16 @@ def test_parity_factors_and_strong_cospectrality_match_the_reduction(oracle_netw
             d = (phi * phi - a_uv * a_uv).exact_div(phi_g)
 
             def lowest(num):
-                return num.exact_div(poly_gcd(num, d)).monic()
+                # sympy, not latsym's gcd engine, reduces num/D
+                num = to_sympy(num)
+                return num.exquo(num.gcd(to_sympy(d))).monic()
 
-            strong = is_squarefree(lowest(phi_g))
+            strong = all(k == 1 for _, k in lowest(phi_g).sqf_list()[1])
             assert is_strongly_cospectral(net, u, v) == strong
-            assert pair.parity_factors() == (lowest(phi - a_uv), lowest(phi + a_uv))
+            assert tuple(map(pair.lam, pair.parity_factors())) == (
+                from_sympy(lowest(phi - a_uv)),
+                from_sympy(lowest(phi + a_uv)),
+            )
             assert singlet_sites(net, u, v) == power_singlets(net, u, v, 2 * net.n)
             counts[strong] += 1
     assert counts[True] >= 60 and counts[False] >= 100
