@@ -90,18 +90,15 @@ def analyze_intensities(
     return clip(f_uv), clip(f_vu)
 
 
-def _cmd_cospectral(args) -> int:
-    net = _load_network(args.network)
-    ok = is_cospectral(net, args.u, args.v)
-    print(f"cospectral: {'yes' if ok else 'no'}")
-    return 0 if ok else 1
+def _yes_no(label: str, test):
+    """A subcommand that prints `label: yes|no` for test(net, u, v); exit 1 on no."""
 
+    def run(args) -> int:
+        ok = test(_load_network(args.network), args.u, args.v)
+        print(f"{label}: {'yes' if ok else 'no'}")
+        return 0 if ok else 1
 
-def _cmd_latent(args) -> int:
-    net = _load_network(args.network)
-    ok = is_latent_symmetric(net, args.u, args.v)
-    print(f"latent-symmetric: {'yes' if ok else 'no'}")
-    return 0 if ok else 1
+    return run
 
 
 def _cmd_singlets(args) -> int:
@@ -254,6 +251,20 @@ def _add_pair_args(p) -> None:
     p.add_argument("-v", type=int, required=True, help="second site id")
 
 
+# Subcommands that take NETWORK -u U -v V and nothing else: (name, help, handler).
+_PAIR_COMMANDS = (
+    ("cospectral", "are two sites cospectral?", _yes_no("cospectral", is_cospectral)),
+    (
+        "latent",
+        "cospectral without a swap automorphism?",
+        _yes_no("latent-symmetric", is_latent_symmetric),
+    ),
+    ("singlets", "sites walk-equivalent w.r.t. the pair", _cmd_singlets),
+    ("reduce", "isospectral reduction onto the pair", _cmd_reduce),
+    ("cert", "state-transfer certificate for the pair", _cmd_cert),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latsym",
@@ -262,30 +273,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cospectral", help="are two sites cospectral?")
-    p.add_argument("network")
-    _add_pair_args(p)
-    p.set_defaults(func=_cmd_cospectral)
-
-    p = sub.add_parser("latent", help="cospectral without a swap automorphism?")
-    p.add_argument("network")
-    _add_pair_args(p)
-    p.set_defaults(func=_cmd_latent)
-
-    p = sub.add_parser("singlets", help="sites walk-equivalent w.r.t. the pair")
-    p.add_argument("network")
-    _add_pair_args(p)
-    p.set_defaults(func=_cmd_singlets)
-
-    p = sub.add_parser("reduce", help="isospectral reduction onto the pair")
-    p.add_argument("network")
-    _add_pair_args(p)
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("cert", help="state-transfer certificate for the pair")
-    p.add_argument("network")
-    _add_pair_args(p)
-    p.set_defaults(func=_cmd_cert)
+    for name, help_, func in _PAIR_COMMANDS:
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("network")
+        _add_pair_args(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser(
         "scan-boundary",

@@ -121,7 +121,7 @@ def parse_network(text: str) -> Network:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise NetworkError(f"edge entry must be [i, j, weight], got {entry!r}")
         i, j, w = entry
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j)):
             raise NetworkError(f"edge endpoints must be integers, got {entry!r}")
         weight = parse_rational(w)
         if weight == 0:

@@ -12,15 +12,15 @@ Tr(P_plus)/deg(P_plus) != Tr(P_minus)/deg(P_minus).  Irreducibility is exact,
 from factor degrees mod small primes and a Zassenhaus fallback (`is_irreducible`).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .network import Network, has_swap_automorphism
-from .polynomial import RationalPoly, _int_exact_div, _int_mul, _int_resultant, _is_irreducible
-from .spectral import _pair_polys, _PairPolys
+from .polynomial import RationalPoly, _is_irreducible
+from .spectral import ParityDecomposition, _pair_polys
 
 CERTIFIED = "CERTIFIED"
 LITERAL_CONDITION_FAILED = "LITERAL_CONDITION_FAILED"
@@ -30,24 +30,6 @@ NOT_COSPECTRAL = "NOT_COSPECTRAL"
 
 class PGSTError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ParityDecomposition:
-    p_plus: RationalPoly
-    p_minus: RationalPoly
-    p_zero: RationalPoly
-    plus_sign: int  # sign of the leading coefficient before normalization
-    minus_sign: int
-
-
-def _decompose(pair: _PairPolys, p_plus: list[int], p_minus: list[int]) -> ParityDecomposition:
-    # P+ and P- are coprime monic divisors of phi(G) in Z[mu], so p_zero
-    # divides out exactly.  a +/- b - lam = -(phi(G - v) -/+ A_uv)/D, where
-    # phi(G - v) is monic and A_uv has lower degree: both numerators lead with
-    # -1 before normalization.
-    p_zero = _int_exact_div(pair.phi_g, _int_mul(p_plus, p_minus))
-    return ParityDecomposition(*map(pair.lam, (p_plus, p_minus, p_zero)), -1, -1)
 
 
 def parity_decompose(net: Network, u: int, v: int) -> ParityDecomposition:
@@ -60,10 +42,9 @@ def parity_decompose(net: Network, u: int, v: int) -> ParityDecomposition:
     pair = _pair_polys(net, u, v)
     if pair is None:
         raise PGSTError(f"pair ({u}, {v}) is not cospectral")
-    p_plus, p_minus = pair.parity_factors()
-    if _int_resultant(p_plus, p_minus) == 0:
+    if pair.decomposition is None:
         raise PGSTError(f"pair ({u}, {v}) is not strongly cospectral")
-    return _decompose(pair, p_plus, p_minus)
+    return pair.decomposition
 
 
 def is_irreducible(p: RationalPoly) -> bool:
@@ -119,7 +100,14 @@ class PGSTCertificate:
     verdict: str = ""
     notes: str = ""
 
+    def _values(self):
+        """(name, value) for every field after u and v, in declaration order."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)[2:]]
+
     def report_text(self) -> str:
+        """One `name: value` line per field, with the derived latent_symmetric
+        after swap_automorphism; the signs are left out, notes when empty."""
+
         def show(x):
             if x is None:
                 return "n/a"
@@ -127,51 +115,25 @@ class PGSTCertificate:
                 return "yes" if x else "no"
             return str(x)
 
-        lines = [
-            f"pair: ({self.u}, {self.v})",
-            f"cospectral: {show(self.cospectral)}",
-            f"swap_automorphism: {show(self.swap_automorphism)}",
-            f"latent_symmetric: {show(self.cospectral and not self.swap_automorphism)}",
-            f"strongly_cospectral: {show(self.strongly_cospectral)}",
-            f"p_plus: {show(self.p_plus)}",
-            f"p_minus: {show(self.p_minus)}",
-            f"p_zero: {show(self.p_zero)}",
-            f"plus_irreducible: {show(self.plus_irreducible)}",
-            f"minus_irreducible: {show(self.minus_irreducible)}",
-            f"trace_ratio_plus: {show(self.trace_ratio_plus)}",
-            f"trace_ratio_minus: {show(self.trace_ratio_minus)}",
-            f"trace_ratios_distinct: {show(self.trace_ratios_distinct)}",
-            f"verdict: {self.verdict}",
-        ]
-        if self.notes:
-            lines.append(f"notes: {self.notes}")
+        lines = [f"pair: ({self.u}, {self.v})"]
+        for name, x in self._values():
+            if name in ("plus_sign", "minus_sign") or (name == "notes" and not x):
+                continue
+            lines.append(f"{name}: {show(x)}")
+            if name == "swap_automorphism":
+                latent = self.cospectral and not self.swap_automorphism
+                lines.append(f"latent_symmetric: {show(latent)}")
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        def poly(p):
-            return None if p is None else [str(c) for c in p.coeffs]
+        """JSON-ready: polynomials as coefficient strings, Fractions as strings."""
 
-        def frac(x):
-            return None if x is None else str(x)
+        def plain(x):
+            if isinstance(x, RationalPoly):
+                return [str(c) for c in x.coeffs]
+            return str(x) if isinstance(x, Fraction) else x
 
-        return {
-            "pair": [self.u, self.v],
-            "cospectral": self.cospectral,
-            "swap_automorphism": self.swap_automorphism,
-            "strongly_cospectral": self.strongly_cospectral,
-            "p_plus": poly(self.p_plus),
-            "p_minus": poly(self.p_minus),
-            "p_zero": poly(self.p_zero),
-            "plus_sign": self.plus_sign,
-            "minus_sign": self.minus_sign,
-            "plus_irreducible": self.plus_irreducible,
-            "minus_irreducible": self.minus_irreducible,
-            "trace_ratio_plus": frac(self.trace_ratio_plus),
-            "trace_ratio_minus": frac(self.trace_ratio_minus),
-            "trace_ratios_distinct": self.trace_ratios_distinct,
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
+        return {"pair": [self.u, self.v], **{name: plain(x) for name, x in self._values()}}
 
 
 def pgst_certificate(net: Network, u: int, v: int) -> PGSTCertificate:
@@ -186,15 +148,13 @@ def pgst_certificate(net: Network, u: int, v: int) -> PGSTCertificate:
         cert.notes = "the deleted-vertex characteristic polynomials differ"
         return cert
 
-    p_plus, p_minus = pair.parity_factors()
-    strong = _int_resultant(p_plus, p_minus) != 0
-    cert.strongly_cospectral = strong
-    if not strong:
+    dec = pair.decomposition
+    cert.strongly_cospectral = dec is not None
+    if dec is None:
         cert.verdict = NOT_STRONGLY_COSPECTRAL
         cert.notes = "the reduction has a repeated non-linear eigenvalue"
         return cert
 
-    dec = _decompose(pair, p_plus, p_minus)
     cert.p_plus, cert.p_minus, cert.p_zero = dec.p_plus, dec.p_minus, dec.p_zero
     cert.plus_sign, cert.minus_sign = dec.plus_sign, dec.minus_sign
     cert.plus_irreducible = is_irreducible(dec.p_plus)
@@ -297,9 +257,8 @@ def boundary_scan(
         pair = _pair_polys(builder(k, e_val), u, v)
         if pair is None:
             raise PGSTError(f"pair ({u}, {v}) is not cospectral at E = {e_val}")
-        p_plus, p_minus = pair.parity_factors()
-        # Res_mu(P+, P-) = d^(deg P+ * deg P-) * Res_lam(P+, P-): the same sign
-        res = _int_resultant(p_plus, p_minus)
+        p_plus, p_minus = pair.parity_factors
+        res = pair.resultant
         common = res == 0
         sign = 0 if res == 0 else (1 if res > 0 else -1)
         rp = _real_roots(p_plus, pair.d)

@@ -9,7 +9,6 @@ convention psi_out = U psi_in.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
 import numpy as np
@@ -156,15 +155,6 @@ class CorrelationMatrix:
             "tau": self.tau,
             "values": [[float(x) for x in row] for row in self.values],
         }
-
-
-def two_photon_outputs(n: int):
-    """All output occupations with exactly two photons over n modes."""
-    for i, j in combinations_with_replacement(range(1, n + 1), 2):
-        s = [0] * n
-        s[i - 1] += 1
-        s[j - 1] += 1
-        yield i, j, tuple(s)
 
 
 def correlation_matrix(

@@ -2,10 +2,11 @@
 walk equivalence, and the isospectral reduction onto a site pair.
 
 Every exact polynomial comes from one engine, `_adjugate`: a single
-Faddeev-LeVerrier pass in integers gives phi(G) = det(lam*I - H) and every
-entry of the polynomial adjugate adj(lam*I - H).  For a pair (u, v) the
-diagonal entries are phi(G - u) and phi(G - v) (equal exactly when the pair is
-cospectral) and the off-diagonal entry is A_uv.
+Faddeev-LeVerrier pass in integers gives phi(G) = det(lam*I - H) and the
+entries of the polynomial adjugate adj(lam*I - H) it is asked for, keeping
+only the current n x n coefficient matrix.  For a pair (u, v) it reads three:
+the diagonal entries phi(G - u) and phi(G - v) (equal exactly when the pair is
+cospectral) and the off-diagonal entry A_uv.
 
 Integer polynomials.  With A = dH, d the common denominator of H, and
 mu = d*lam, det(mu*I - A) = d^n phi(G) and adj(mu*I - A) =
@@ -25,8 +26,9 @@ E_theta (e_u +/- e_v) != 0.  Write N+/- for the reduced numerator, coprime to
 P+/-.  By the Jacobi identity phi(G - u) phi(G - v) - A_uv^2 = phi(G) D, with
 D = phi(G - {u, v}), the reduction polynomial phi(G)/D is the reduced
 numerator of P+ P- / (N+ N-), so it has a double root exactly where P+ and P-
-share one.  Strong cospectrality is therefore resultant(P+, P-) != 0, the one
-test used everywhere in latsym.
+share one.  Strong cospectrality is therefore resultant(P+, P-) != 0.  That
+test, P+/-, and the split of phi(G) into P+ P- P0 live in one place, the pair
+data `_pair_polys` returns; every caller in latsym reads them from there.
 
 Walk counts.  Cospectrality and singlet sites need no adjugate.  With A = dH
 and z_j = A^j (e_u - e_v), the pair is cospectral iff z_j[u] = -z_j[v], and w
@@ -40,8 +42,9 @@ inputs give bit-identical outputs.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
-from typing import Callable
+from typing import Sequence
 
 from .network import Network, has_swap_automorphism
 from .polynomial import (
@@ -87,9 +90,11 @@ def _walk_singlets(net: Network, u: int, v: int) -> frozenset[int] | None:
     return frozenset(w + 1 for w in alive)
 
 
-def _adjugate(net: Network) -> tuple[int, list[int], Callable[[int, int], list[int]]]:
-    """d, phi(G) and a reader entry(i, j) of [adj(lam*I - H)]_ij, 0-based sites,
-    as integer polynomials in mu = d*lam (ascending lists).
+def _adjugate(
+    net: Network, entries: Sequence[tuple[int, int]] = ()
+) -> tuple[int, list[int], list[list[int]]]:
+    """d, phi(G) and the listed entries [adj(lam*I - H)]_ij (0-based sites), as
+    integer polynomials in mu = d*lam (ascending lists).
 
     Faddeev-LeVerrier on A = d*H, d the common denominator of H, in Python
     integers: B_0 = I, c_k = -tr(A B_(k-1))/k (an exact division, since the
@@ -98,12 +103,15 @@ def _adjugate(net: Network) -> tuple[int, list[int], Callable[[int, int], list[i
     d^(n-1) adj(lam*I - H) = sum B_k mu^(n-1-k).  Every B_k is a polynomial
     in the symmetric A, so it is symmetric: only the upper triangle of each
     product is formed, and tr(A B) is read elementwise as the sum of A_ij B_ij.
+    Only the current B_k is kept; the listed entries are read off it as it goes.
     """
     n = net.n
     d, a = _scaled_rows(net)
     b = [[int(i == j) for j in range(n)] for i in range(n)]
-    bs, cs = [b], [1]
+    cs, reads = [1], [[] for _ in entries]
     for k in range(1, n + 1):
+        for read, (i, j) in zip(reads, entries):
+            read.append(b[i][j])
         c = -sum(x * b[i][j] for i, row in enumerate(a) for j, x in row) // k
         cs.append(c)
         if k == n:
@@ -113,12 +121,7 @@ def _adjugate(net: Network) -> tuple[int, list[int], Callable[[int, int], list[i
             for j in range(i, n):
                 b[i][j] = b[j][i] = sum(x * prev[l][j] for l, x in row)
             b[i][i] += c
-        bs.append(b)
-
-    def entry(i: int, j: int) -> list[int]:
-        return _trim([bs[k][i][j] for k in range(n - 1, -1, -1)])
-
-    return d, cs[::-1], entry
+    return d, cs[::-1], [_trim(read[::-1]) for read in reads]
 
 
 def char_poly(net: Network) -> RationalPoly:
@@ -133,19 +136,26 @@ def is_cospectral(net: Network, u: int, v: int) -> bool:
 
 
 @dataclass(frozen=True)
+class ParityDecomposition:
+    p_plus: RationalPoly
+    p_minus: RationalPoly
+    p_zero: RationalPoly
+    plus_sign: int  # sign of the leading coefficient before normalization
+    minus_sign: int
+
+
+@dataclass(frozen=True)
 class _PairPolys:
-    """The adjugate entries that describe a cospectral pair (u, v), as integer
-    polynomials in mu = d*lam; `lam` turns one into its polynomial in lam."""
+    """The adjugate entries of a cospectral pair (u, v), as integer polynomials
+    in mu = d*lam, and the parity data that every strong-cospectrality decision
+    reads from them."""
 
     d: int
     phi_g: list[int]  # phi(G), monic of degree n
     phi: list[int]  # phi(G - u) = phi(G - v), monic of degree n - 1
     a_uv: list[int]  # [adj(mu*I - A)]_uv, scaled by d^(n-1) like phi but of lower degree
 
-    def lam(self, p: list[int], deg: int | None = None) -> RationalPoly:
-        """p(mu) = d^deg * P(mu/d) as P(lam); deg defaults to deg p (`_lam_poly`)."""
-        return _lam_poly(p, self.d, deg)
-
+    @cached_property
     def parity_factors(self) -> tuple[list[int], list[int]]:
         """P+ and P- in mu, the reduced denominators of (phi(G - v) +/- A_uv)/phi(G).
 
@@ -157,6 +167,30 @@ class _PairPolys:
         )
         return plus, minus
 
+    @cached_property
+    def resultant(self) -> int:
+        """Res_mu(P+, P-), zero exactly when the pair is not strongly cospectral.
+
+        It is d^(deg P+ * deg P-) * Res_lam(P+, P-), so it has the same sign.
+        """
+        return _int_resultant(*self.parity_factors)
+
+    @cached_property
+    def decomposition(self) -> ParityDecomposition | None:
+        """P+, P- and P0 = phi(G)/(P+ P-) in lam; None unless strongly cospectral.
+
+        P+ and P- are coprime monic divisors of phi(G) in Z[mu], so P0 divides
+        out exactly.  a +/- b - lam = -(phi(G - v) -/+ A_uv)/D, where phi(G - v)
+        is monic and A_uv has lower degree: both numerators lead with -1 before
+        normalization.
+        """
+        if self.resultant == 0:
+            return None
+        p_plus, p_minus = self.parity_factors
+        p_zero = _int_exact_div(self.phi_g, _int_mul(p_plus, p_minus))
+        p_lam = (_lam_poly(p, self.d) for p in (p_plus, p_minus, p_zero))
+        return ParityDecomposition(*p_lam, -1, -1)
+
 
 def _pair_polys(net: Network, u: int, v: int) -> _PairPolys | None:
     """The polynomials of a pair from one adjugate pass; None unless cospectral.
@@ -164,11 +198,11 @@ def _pair_polys(net: Network, u: int, v: int) -> _PairPolys | None:
     phi(G - u) and phi(G - v) are the diagonal entries adj_uu and adj_vv.
     """
     net.check_pair(u, v)
-    d, phi_g, entry = _adjugate(net)
-    phi_v = entry(v - 1, v - 1)
-    if entry(u - 1, u - 1) != phi_v:
+    i, j = u - 1, v - 1
+    d, phi_g, (phi_u, phi_v, a_uv) = _adjugate(net, ((i, i), (j, j), (i, j)))
+    if phi_u != phi_v:
         return None
-    return _PairPolys(d=d, phi_g=phi_g, phi=phi_v, a_uv=entry(u - 1, v - 1))
+    return _PairPolys(d=d, phi_g=phi_g, phi=phi_v, a_uv=a_uv)
 
 
 def is_latent_symmetric(net: Network, u: int, v: int) -> bool:
@@ -209,10 +243,10 @@ def isospectral_reduction(net: Network, u: int, v: int) -> ReductionMatrix:
             "reduction is not bisymmetric for this pair (the pair is not cospectral)"
         )
     sq = _int_add(_int_mul(pair.phi, pair.phi), _int_mul(pair.a_uv, pair.a_uv), -1)
-    den, phi = pair.lam(_int_exact_div(sq, pair.phi_g)), pair.lam(pair.phi)
+    den, phi = _lam_poly(_int_exact_div(sq, pair.phi_g), pair.d), _lam_poly(pair.phi, pair.d)
     return ReductionMatrix(
         a=RationalFunction(RationalPoly.x() * den - phi, den),
-        b=RationalFunction(pair.lam(pair.a_uv, len(pair.phi) - 1), den),
+        b=RationalFunction(_lam_poly(pair.a_uv, pair.d, len(pair.phi) - 1), den),
     )
 
 
@@ -234,4 +268,4 @@ def is_strongly_cospectral(net: Network, u: int, v: int) -> bool:
     Decided as resultant(P+, P-) != 0 (see the module docstring).
     """
     pair = _pair_polys(net, u, v)
-    return pair is not None and _int_resultant(*pair.parity_factors()) != 0
+    return pair is not None and pair.resultant != 0

@@ -23,6 +23,7 @@ from latsym.polynomial import (
     _int_gcd,
     _int_mul,
     _int_resultant,
+    _lam_poly,
     det_fraction,
     poly_gcd,
 )
@@ -119,7 +120,7 @@ def test_int_exact_div_refuses_a_remainder():
 @pytest.mark.parametrize("coupling", [Fraction(10**7), Fraction(1, 10**13), K])
 def test_nine_site_parity_factors_match_sympy(coupling):
     pair = _pair_polys(build_ninesite(coupling), 2, 6)
-    for sign, p in zip((1, -1), pair.parity_factors()):
+    for sign, p in zip((1, -1), pair.parity_factors):
         num = [x + sign * y for x, y in itertools.zip_longest(pair.phi, pair.a_uv, fillvalue=0)]
         g = sympy_gcd(pair.phi_g, num)
         quo = sympy.Poly(pair.phi_g[::-1], X).exquo(sympy.Poly(g[::-1], X))
@@ -138,13 +139,13 @@ def euclid_gcd(a, b):
 
 
 def old_pair(net, u, v):
-    d, phi_mu, entry = _adjugate(net)
+    d, phi_mu, (phi, a_uv) = _adjugate(net, ((v - 1, v - 1), (u - 1, v - 1)))
     n = net.n
 
     def lam(p, deg):
         return RationalPoly([Fraction(c, d ** (deg - i)) for i, c in enumerate(p)])
 
-    return lam(phi_mu, n), lam(entry(v - 1, v - 1), n - 1), lam(entry(u - 1, v - 1), n - 1)
+    return lam(phi_mu, n), lam(phi, n - 1), lam(a_uv, n - 1)
 
 
 def old_parity_factors(phi_g, phi, a_uv):
@@ -215,7 +216,7 @@ def test_pair_outputs_are_identical_to_the_euclidean_path(oracle_networks):
                 continue
             phi_g, phi, a_uv = old_pair(net, u, v)
             p_plus, p_minus = old_parity_factors(phi_g, phi, a_uv)
-            assert tuple(map(pair.lam, pair.parity_factors())) == (p_plus, p_minus)
+            assert tuple(_lam_poly(p, pair.d) for p in pair.parity_factors) == (p_plus, p_minus)
             strong = sylvester_resultant(p_plus, p_minus) != 0
             seen[strong] += 1
             assert is_strongly_cospectral(net, u, v) == strong
@@ -249,7 +250,7 @@ def test_pair_path_builds_no_rational_polynomial(monkeypatch):
 def test_mu_resultant_keeps_the_sign_and_scales_by_d_to_the_degree_product():
     for e in SCAN_GRID[::10]:
         pair = _pair_polys(build_ninesite(K, e), 2, 6)
-        p_plus, p_minus = pair.parity_factors()
-        res_lam = sylvester_resultant(pair.lam(p_plus), pair.lam(p_minus))
+        p_plus, p_minus = pair.parity_factors
+        res_lam = sylvester_resultant(_lam_poly(p_plus, pair.d), _lam_poly(p_minus, pair.d))
         scale = pair.d ** ((len(p_plus) - 1) * (len(p_minus) - 1))
-        assert _int_resultant(p_plus, p_minus) == res_lam * scale
+        assert pair.resultant == _int_resultant(p_plus, p_minus) == res_lam * scale

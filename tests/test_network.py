@@ -106,6 +106,7 @@ def test_parse_network_examples():
         '{"n": 2, "onsite": ["0", "0"], "edges": [[1, 2, "0"]]}',  # zero weight
         '{"n": 2, "onsite": ["0", "0"], "edges": [[1, 2]]}',
         '{"n": 2, "onsite": ["0", "0"], "edges": [["1", 2, "1"]]}',
+        '{"n": 2, "onsite": ["0", "0"], "edges": [[true, 2, "1"]]}',  # a boolean is no site
         '{"n": 2, "onsite": [0, 0], "edges": []}',  # onsite must be strings
         "not json",
         "[1, 2]",

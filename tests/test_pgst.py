@@ -199,6 +199,183 @@ def test_certificate_gates():
     assert cert.strongly_cospectral is False
 
 
+# The complete text and dict of one certificate per verdict, frozen.
+NINESITE_NOTES = (
+    "all prerequisite conditions hold (strongly cospectral pair, both parity factors "
+    "irreducible over Q) yet the trace-ratio inequality fails: both ratios equal 0 = 0. "
+    "The algebraic test alone is therefore inconclusive for this network even though "
+    "long-horizon envelope scans show the transfer fidelity approaching 1; judge "
+    "transfer quality from that numerical evidence."
+)
+UNREACHED_TEXT = [
+    "p_plus: n/a",
+    "p_minus: n/a",
+    "p_zero: n/a",
+    "plus_irreducible: n/a",
+    "minus_irreducible: n/a",
+    "trace_ratio_plus: n/a",
+    "trace_ratio_minus: n/a",
+    "trace_ratios_distinct: n/a",
+]
+UNREACHED_ITEMS = [
+    ("p_plus", None),
+    ("p_minus", None),
+    ("p_zero", None),
+    ("plus_sign", None),
+    ("minus_sign", None),
+    ("plus_irreducible", None),
+    ("minus_irreducible", None),
+    ("trace_ratio_plus", None),
+    ("trace_ratio_minus", None),
+    ("trace_ratios_distinct", None),
+]
+FROZEN_CERTIFICATES = [
+    (
+        lambda: path_network(2),
+        (1, 2),
+        [
+            "pair: (1, 2)",
+            "cospectral: yes",
+            "swap_automorphism: yes",
+            "latent_symmetric: no",
+            "strongly_cospectral: yes",
+            "p_plus: lam - 1",
+            "p_minus: lam + 1",
+            "p_zero: 1",
+            "plus_irreducible: yes",
+            "minus_irreducible: yes",
+            "trace_ratio_plus: 1",
+            "trace_ratio_minus: -1",
+            "trace_ratios_distinct: yes",
+            "verdict: CERTIFIED",
+            "notes: all algebraic transfer conditions are satisfied",
+        ],
+        [
+            ("pair", [1, 2]),
+            ("cospectral", True),
+            ("swap_automorphism", True),
+            ("strongly_cospectral", True),
+            ("p_plus", ["-1", "1"]),
+            ("p_minus", ["1", "1"]),
+            ("p_zero", ["1"]),
+            ("plus_sign", -1),
+            ("minus_sign", -1),
+            ("plus_irreducible", True),
+            ("minus_irreducible", True),
+            ("trace_ratio_plus", "1"),
+            ("trace_ratio_minus", "-1"),
+            ("trace_ratios_distinct", True),
+            ("verdict", "CERTIFIED"),
+            ("notes", "all algebraic transfer conditions are satisfied"),
+        ],
+    ),
+    (
+        build_ninesite,
+        (2, 6),
+        [
+            "pair: (2, 6)",
+            "cospectral: yes",
+            "swap_automorphism: no",
+            "latent_symmetric: yes",
+            "strongly_cospectral: yes",
+            "p_plus: lam^6 - 5103/2500*lam^4 + 5845851/6250000*lam^2 - 387420489/3906250000",
+            "p_minus: lam^2 - 729/1250",
+            "p_zero: lam",
+            "plus_irreducible: yes",
+            "minus_irreducible: yes",
+            "trace_ratio_plus: 0",
+            "trace_ratio_minus: 0",
+            "trace_ratios_distinct: no",
+            "verdict: LITERAL_CONDITION_FAILED",
+            "notes: " + NINESITE_NOTES,
+        ],
+        [
+            ("pair", [2, 6]),
+            ("cospectral", True),
+            ("swap_automorphism", False),
+            ("strongly_cospectral", True),
+            ("p_plus", ["-387420489/3906250000", "0", "5845851/6250000", "0", "-5103/2500", "0",
+                        "1"]),
+            ("p_minus", ["-729/1250", "0", "1"]),
+            ("p_zero", ["0", "1"]),
+            ("plus_sign", -1),
+            ("minus_sign", -1),
+            ("plus_irreducible", True),
+            ("minus_irreducible", True),
+            ("trace_ratio_plus", "0"),
+            ("trace_ratio_minus", "0"),
+            ("trace_ratios_distinct", False),
+            ("verdict", "LITERAL_CONDITION_FAILED"),
+            ("notes", NINESITE_NOTES),
+        ],
+    ),
+    (
+        lambda: Network(4, [Fraction(0)] * 4, [(1, 2, Fraction(1)), (3, 4, Fraction(1))]),
+        (1, 3),
+        [
+            "pair: (1, 3)",
+            "cospectral: yes",
+            "swap_automorphism: yes",
+            "latent_symmetric: no",
+            "strongly_cospectral: no",
+            *UNREACHED_TEXT,
+            "verdict: NOT_STRONGLY_COSPECTRAL",
+            "notes: the reduction has a repeated non-linear eigenvalue",
+        ],
+        [
+            ("pair", [1, 3]),
+            ("cospectral", True),
+            ("swap_automorphism", True),
+            ("strongly_cospectral", False),
+            *UNREACHED_ITEMS,
+            ("verdict", "NOT_STRONGLY_COSPECTRAL"),
+            ("notes", "the reduction has a repeated non-linear eigenvalue"),
+        ],
+    ),
+    (
+        lambda: path_network(3),
+        (1, 2),
+        [
+            "pair: (1, 2)",
+            "cospectral: no",
+            "swap_automorphism: no",
+            "latent_symmetric: no",
+            "strongly_cospectral: n/a",
+            *UNREACHED_TEXT,
+            "verdict: NOT_COSPECTRAL",
+            "notes: the deleted-vertex characteristic polynomials differ",
+        ],
+        [
+            ("pair", [1, 2]),
+            ("cospectral", False),
+            ("swap_automorphism", False),
+            ("strongly_cospectral", None),
+            *UNREACHED_ITEMS,
+            ("verdict", "NOT_COSPECTRAL"),
+            ("notes", "the deleted-vertex characteristic polynomials differ"),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, pair, text, items",
+    FROZEN_CERTIFICATES,
+    ids=[CERTIFIED, LITERAL_CONDITION_FAILED, NOT_STRONGLY_COSPECTRAL, NOT_COSPECTRAL],
+)
+def test_certificate_text_and_dict_are_frozen(build, pair, text, items):
+    cert = pgst_certificate(build(), *pair)
+    assert cert.report_text() == "\n".join(text)
+    assert list(cert.to_dict().items()) == items
+
+
+def test_certificate_text_omits_empty_notes():
+    cert = pgst_certificate(path_network(2), 1, 2)
+    cert.notes = ""
+    assert cert.report_text().splitlines()[-1] == "verdict: CERTIFIED"
+    assert cert.to_dict()["notes"] == ""
+
+
 def test_certificate_skips_swap_search_for_a_non_cospectral_pair(monkeypatch):
     # a swap automorphism implies cospectrality, so the search cannot change the answer
     def refuse(*args):
@@ -293,7 +470,7 @@ def test_boundary_common_factor_is_a_zero_resultant():
         for point in report.points:
             p_plus, p_minus = _pair_polys(
                 builder(Fraction(27, 50), point.potential), u, v
-            ).parity_factors()
+            ).parity_factors
             # integer lists in mu = d*lam share a root iff the parity factors do
             x = sympy.Symbol("x")
             common = sympy.Poly(p_plus[::-1], x).gcd(sympy.Poly(p_minus[::-1], x)).degree() > 0
@@ -304,9 +481,9 @@ def test_one_adjugate_pass_per_public_call(monkeypatch):
     calls = []
     engine = spectral._adjugate
 
-    def counted(net):
+    def counted(net, *entries):
         calls.append(net.n)
-        return engine(net)
+        return engine(net, *entries)
 
     monkeypatch.setattr(spectral, "_adjugate", counted)
     twins = Network(4, [Fraction(0)] * 4, [(1, 2, Fraction(1)), (3, 4, Fraction(1))])

@@ -17,9 +17,17 @@ from latsym.photons import (
     permanent,
     total_unitary,
     transition_probability,
-    two_photon_outputs,
 )
 from latsym.walk import eigh, evolution_operator
+
+
+def two_photon_outputs(n):
+    """All output occupations with exactly two photons over n modes."""
+    for i, j in itertools.combinations_with_replacement(range(1, n + 1), 2):
+        s = [0] * n
+        s[i - 1] += 1
+        s[j - 1] += 1
+        yield i, j, tuple(s)
 
 
 def naive_permanent(m):

@@ -322,13 +322,15 @@ def test_minor_engine_satisfies_jacobi_identity_against_cofactors(oracle_network
     for net in SMALL_NETWORKS + oracle_networks:
         n = net.n
         h = net.hamiltonian()
-        scale, phi_mu, entry_mu = _adjugate(net)
+        cells = list(itertools.product(range(n), repeat=2))
+        scale, phi_mu, entries_mu = _adjugate(net, cells)
+        entry_mu = dict(zip(cells, entries_mu))
         phi = _lam_poly(phi_mu, scale)
         assert phi == char_poly(net)
 
         def entry(i, j):
             # every entry of adj(mu*I - dH) is d^(n-1) adj(lam*I - H) at lam = mu/d
-            return _lam_poly(entry_mu(i, j), scale, n - 1)
+            return _lam_poly(entry_mu[i, j], scale, n - 1)
 
         # n+1 points pin down every polynomial of degree <= n
         points = []
@@ -364,8 +366,9 @@ def test_minor_engine_satisfies_jacobi_identity_against_cofactors(oracle_network
             assert (pair is not None) == (phi_u == phi_v)
             if pair is not None:
                 assert (pair.d, pair.phi_g) == (scale, phi_mu)
-                assert (pair.phi, pair.a_uv) == (entry_mu(v - 1, v - 1), entry_mu(u - 1, v - 1))
-                assert (pair.lam(pair.phi), pair.lam(pair.a_uv, n - 1)) == (phi_v, a_uv)
+                assert (pair.phi, pair.a_uv) == (entry_mu[v - 1, v - 1], entry_mu[u - 1, v - 1])
+                assert _lam_poly(pair.phi, pair.d) == phi_v
+                assert _lam_poly(pair.a_uv, pair.d, n - 1) == a_uv
 
 
 def test_exact_engine_at_extreme_couplings():
@@ -487,11 +490,13 @@ def test_parity_factors_and_strong_cospectrality_match_the_reduction(oracle_netw
     )
     counts = {True: 0, False: 0}
     for net in nets:
-        scale, phi_mu, entry_mu = _adjugate(net)
+        cells = list(itertools.product(range(net.n), repeat=2))
+        scale, phi_mu, entries_mu = _adjugate(net, cells)
         phi_g = _lam_poly(phi_mu, scale)
+        entry_mu = dict(zip(cells, entries_mu))
 
-        def entry(i, j, net=net):
-            return _lam_poly(entry_mu(i, j), scale, net.n - 1)
+        def entry(i, j, net=net, entry_mu=entry_mu):
+            return _lam_poly(entry_mu[i, j], scale, net.n - 1)
 
         for u, v in itertools.combinations(range(1, net.n + 1), 2):
             pair = _pair_polys(net, u, v)
@@ -516,7 +521,7 @@ def test_parity_factors_and_strong_cospectrality_match_the_reduction(oracle_netw
 
             strong = all(k == 1 for _, k in lowest(phi_g).sqf_list()[1])
             assert is_strongly_cospectral(net, u, v) == strong
-            assert tuple(map(pair.lam, pair.parity_factors())) == (
+            assert tuple(_lam_poly(p, pair.d) for p in pair.parity_factors) == (
                 from_sympy(lowest(phi - a_uv)),
                 from_sympy(lowest(phi + a_uv)),
             )
