@@ -3,7 +3,12 @@
 Exact (rational) detection of cospectral vertex pairs and their isospectral
 reductions, algebraic certificates for pretty-good state transfer, numerical
 quantum-walk dynamics, and two-photon interference statistics.
+
+The numeric layers (`walk`, `photons`) need numpy; their names are bound on
+first access, so `import latsym` and the exact layers do not load it.
 """
+
+import importlib
 
 from .network import (
     Network,
@@ -36,15 +41,6 @@ from .pgst import (
     parity_decompose,
     pgst_certificate,
 )
-from .photons import (
-    CorrelationMatrix,
-    assignment_list,
-    beam_splitter_unitary,
-    correlation_matrix,
-    permanent,
-    total_unitary,
-    transition_probability,
-)
 from .polynomial import RationalFunction, RationalPoly, format_poly, resultant
 from .spectral import (
     ReductionMatrix,
@@ -57,19 +53,51 @@ from .spectral import (
     reduction_charpoly,
     singlet_sites,
 )
-from .walk import (
-    ConvergenceError,
-    EigenSystem,
-    PeakReport,
-    antisymmetric_confinement,
-    eigenprojector_parity,
-    eigh,
-    envelope_scan,
-    evolution_operator,
-    evolve,
-    fidelity,
-    fidelity_curve,
-)
+
+# Name -> numeric-layer module that defines it, imported on first access (PEP 562).
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "CorrelationMatrix",
+            "assignment_list",
+            "beam_splitter_unitary",
+            "correlation_matrix",
+            "permanent",
+            "total_unitary",
+            "transition_probability",
+        ),
+        "photons",
+    ),
+    **dict.fromkeys(
+        (
+            "ConvergenceError",
+            "EigenSystem",
+            "PeakReport",
+            "antisymmetric_confinement",
+            "eigenprojector_parity",
+            "eigh",
+            "envelope_scan",
+            "evolution_operator",
+            "evolve",
+            "fidelity",
+            "fidelity_curve",
+        ),
+        "walk",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

@@ -2,6 +2,9 @@
 
 Exit codes: 0 on success (and on yes answers), 1 on no answers from yes/no
 tests, 2 on input or usage errors.
+
+numpy and the numeric layers (`walk`, `photons`) are imported inside the
+handlers that use them, so the exact subcommands start without loading numpy.
 """
 
 import argparse
@@ -12,14 +15,11 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Iterable, Optional, Sequence
 
 from .network import NetworkError, parse_network
 from .ninesite import build_ninesite
 from .pgst import PGSTError, boundary_scan, pgst_certificate
-from .photons import correlation_matrix
 from .spectral import (
     SpectralError,
     is_cospectral,
@@ -27,7 +27,6 @@ from .spectral import (
     isospectral_reduction,
     singlet_sites,
 )
-from .walk import eigh, envelope_scan, evolution_operator
 
 
 # Largest grid `scan-boundary` accepts.  Each point needs an adjugate pass, two
@@ -48,6 +47,19 @@ MAX_ENVELOPE_SAMPLES = 10**8
 def _g17(x: float) -> str:
     # 17 significant digits: doubles round-trip losslessly
     return format(float(x), ".17g")
+
+
+def _write_csv(
+    path: str, columns: Sequence[str], formats: Sequence[str], rows: Iterable[tuple]
+) -> None:
+    """A header of column names, then each row formatted by one `%` operation.
+
+    "%.17g" writes a float exactly as _g17 does.
+    """
+    line = ",".join(formats) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 def _grid_count(tmax: float, step: float) -> float:
@@ -141,6 +153,10 @@ def _cmd_scan_boundary(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    import numpy as np
+
+    from .walk import eigh
+
     if not (args.step > 0 and args.tmax >= 0):
         raise ValueError("need step > 0 and tmax >= 0")
     net = _load_network(args.network)
@@ -156,15 +172,19 @@ def _cmd_evolve(args) -> int:
     coef = sys_.eigenvectors[args.from_site - 1]
     amps = (np.exp(-1j * np.outer(taus, sys_.eigenvalues)) * coef) @ sys_.eigenvectors.T
     probs = np.abs(amps) ** 2
-    with open(args.out, "w", newline="") as fh:
-        fh.write("tau," + ",".join(f"p{i}" for i in range(1, net.n + 1)) + "\n")
-        for t, row in zip(taus, probs):
-            fh.write(_g17(t) + "," + ",".join(_g17(p) for p in row) + "\n")
+    _write_csv(
+        args.out,
+        ["tau", *(f"p{i}" for i in range(1, net.n + 1))],
+        ["%.17g"] * (net.n + 1),
+        ((t, *row.tolist()) for t, row in zip(taus, probs)),
+    )
     print(f"wrote {n_rows} rows to {args.out}")
     return 0
 
 
 def _cmd_envelope(args) -> int:
+    from .walk import eigh, envelope_scan
+
     if not (args.step > 0 and args.tmax > 0):
         raise ValueError("need step > 0 and tmax > 0")
     net = _load_network(args.network)
@@ -176,16 +196,16 @@ def _cmd_envelope(args) -> int:
         )
     sys_ = eigh(net)
     report = envelope_scan(sys_, args.u, args.v, args.tmax, args.step)
-    with open(args.out, "w", newline="") as fh:
-        fh.write("tau,F,running_max\n")
-        for tau, f, run in report.envelope:
-            fh.write(f"{_g17(tau)},{_g17(f)},{_g17(run)}\n")
+    _write_csv(args.out, ["tau", "F", "running_max"], ["%.17g"] * 3, report.envelope)
     best_t, best_f = report.best
     print(f"best: tau={_g17(best_t)} F={_g17(best_f)}")
     return 0
 
 
 def _cmd_correlate(args) -> int:
+    from .photons import correlation_matrix
+    from .walk import eigh, evolution_operator
+
     if not (math.isfinite(args.tau) and math.isfinite(args.phase)):
         raise ValueError("need finite --tau and --phase")
     net = _load_network(args.network)
@@ -201,11 +221,12 @@ def _cmd_correlate(args) -> int:
         tau=args.tau,
     )
     vals = corr.values
-    with open(args.out, "w", newline="") as fh:
-        fh.write("i,j,value\n")
-        for i in range(1, net.n + 1):
-            for j in range(1, net.n + 1):
-                fh.write(f"{i},{j},{_g17(vals[i - 1, j - 1])}\n")
+    _write_csv(
+        args.out,
+        ["i", "j", "value"],
+        ["%d", "%d", "%.17g"],
+        ((i, j, x) for i, row in enumerate(vals.tolist(), 1) for j, x in enumerate(row, 1)),
+    )
     print(
         f"statistics={corr.statistics} mode={corr.comparison_mode} "
         f"max={_g17(vals.max())} at tau={_g17(args.tau)}"

@@ -16,8 +16,6 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .network import Network, has_swap_automorphism
 from .polynomial import RationalPoly, _is_irreducible
 from .spectral import ParityDecomposition, _pair_polys
@@ -223,10 +221,16 @@ class BoundaryReport:
         return "\n".join(lines)
 
 
-def _real_roots(p: list[int], d: int) -> np.ndarray:
-    """Sorted real parts of the roots in lam of an integer polynomial p in mu = d*lam."""
-    m = len(p) - 1
-    return np.sort(np.roots([p[i] / d ** (m - i) for i in range(m, -1, -1)]).real)
+def _min_root_distance(p_plus: list[int], p_minus: list[int], d: int) -> float:
+    """Least distance between the real parts of the roots in lam of two integer
+    polynomials in mu = d*lam."""
+    import numpy as np
+
+    def real_roots(p):
+        m = len(p) - 1
+        return np.roots([p[i] / d ** (m - i) for i in range(m, -1, -1)]).real
+
+    return float(np.abs(real_roots(p_plus)[:, None] - real_roots(p_minus)[None, :]).min())
 
 
 def boundary_scan(
@@ -261,10 +265,8 @@ def boundary_scan(
         res = pair.resultant
         common = res == 0
         sign = 0 if res == 0 else (1 if res > 0 else -1)
-        rp = _real_roots(p_plus, pair.d)
-        rm = _real_roots(p_minus, pair.d)
         degrees.append((len(p_plus) - 1, len(p_minus) - 1))
-        dist = float(np.abs(rp[:, None] - rm[None, :]).min())
+        dist = _min_root_distance(p_plus, p_minus, pair.d)
         points.append(
             BoundaryPoint(
                 potential=e_val,

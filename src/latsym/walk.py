@@ -29,7 +29,11 @@ class EigenSystem:
 
 
 def _hamiltonian_matrix(net: Network) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in net.hamiltonian()])
+    # the float(Fraction) entries of net.hamiltonian(), without its n x n Fractions
+    h = np.diag([float(e) for e in net.onsite])
+    for i, j, w in net.edges:
+        h[i - 1, j - 1] = h[j - 1, i - 1] = float(w)
+    return h
 
 
 def eigh(net: Network) -> EigenSystem:
@@ -40,7 +44,7 @@ def eigh(net: Network) -> EigenSystem:
     failure or a result outside either bound raises ConvergenceError.
     """
     n = net.n
-    h = _hamiltonian_matrix(net).reshape(n, n)
+    h = _hamiltonian_matrix(net)
     try:
         evals, q = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:

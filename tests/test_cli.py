@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import time
@@ -30,6 +31,11 @@ def chain2_file(tmp_path):
     path = tmp_path / "chain2.json"
     path.write_text('{"n": 2, "onsite": ["0", "0"], "edges": [[1, 2, "1"]]}')
     return str(path)
+
+
+def assert_g17(tokens):
+    # every float is written as _g17 writes it: 17 significant digits
+    assert all(cli._g17(float(t)) == t for t in tokens)
 
 
 def test_cospectral_yes(net_file, capsys):
@@ -109,8 +115,23 @@ def test_evolve_writes_probability_table(chain2_file, tmp_path, capsys):
     assert first[1] == pytest.approx(1.0, abs=1e-12)
     # probabilities sum to one on every row
     for line in lines[1:]:
+        assert_g17(line.split(","))
         vals = [float(x) for x in line.split(",")]
         assert sum(vals[1:]) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_csv_rows_match_per_value_g17_formatting(tmp_path):
+    # the one-% row format against the per-value _g17 loop it replaced
+    values = [0.0, -0.0, 1.0, -1.5, 0.1, 1 / 3, 2.0**-1074, 5e-324, 1.7976931348623157e308,
+              1e16, 123456789012345678.0, math.pi * 1e-300, float("inf"), float("-inf"),
+              float("nan")]
+    rows = [(float(i), *values[i:], *values[:i]) for i in range(len(values))]
+    out = tmp_path / "rows.csv"
+    cli._write_csv(str(out), ["a"] * len(rows[0]), ["%.17g"] * len(rows[0]), rows)
+    expected = ",".join(["a"] * len(rows[0])) + "\n" + "".join(
+        ",".join(cli._g17(x) for x in row) + "\n" for row in rows
+    )
+    assert out.read_text() == expected
 
 
 def test_envelope_csv(chain2_file, tmp_path, capsys):
@@ -122,6 +143,7 @@ def test_envelope_csv(chain2_file, tmp_path, capsys):
     assert "best: tau=" in capsys.readouterr().out
     lines = out.read_text().splitlines()
     assert lines[0] == "tau,F,running_max"
+    assert_g17(",".join(lines[1:]).split(","))
     running = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(b >= a for a, b in zip(running, running[1:]))
     assert running[-1] == pytest.approx(1.0, abs=1e-9)
@@ -148,6 +170,7 @@ def test_correlate_csv(net_file, tmp_path, capsys):
     values = {}
     for line in lines[1:]:
         i, j, val = line.split(",")
+        assert_g17([val])
         values[(int(i), int(j))] = float(val)
     assert values[(2, 6)] == values[(6, 2)]
     assert values[(2, 2)] > 0.5
@@ -285,7 +308,7 @@ def _no_eigh(net):
 def test_evolve_refuses_oversized_grid_before_any_work(
     net_file, tmp_path, capsys, monkeypatch, tmax, step
 ):
-    monkeypatch.setattr(cli, "eigh", _no_eigh)
+    monkeypatch.setattr("latsym.walk.eigh", _no_eigh)
     out = tmp_path / "probs.csv"
     code = main(
         ["evolve", net_file, "--from", "2", "--tmax", tmax, "--step", step, "--out", str(out)]
@@ -317,7 +340,7 @@ def _no_envelope_eigh(net):
     [("1", "0"), ("1", "-0.1"), ("0", "0.1"), ("-1", "0.1"), ("nan", "0.1"), ("1", "nan")],
 )
 def test_envelope_refuses_invalid_grid(net_file, tmp_path, capsys, monkeypatch, tmax, step):
-    monkeypatch.setattr(cli, "eigh", _no_envelope_eigh)
+    monkeypatch.setattr("latsym.walk.eigh", _no_envelope_eigh)
     out = tmp_path / "env.csv"
     code = main(
         ["envelope", net_file, "-u", "2", "-v", "6", "--tmax", tmax, "--step", step, "--out", str(out)]
@@ -341,7 +364,7 @@ def test_envelope_refuses_invalid_grid(net_file, tmp_path, capsys, monkeypatch, 
 def test_envelope_refuses_oversized_grid_before_any_work(
     net_file, tmp_path, capsys, monkeypatch, tmax, step, count
 ):
-    monkeypatch.setattr(cli, "eigh", _no_envelope_eigh)
+    monkeypatch.setattr("latsym.walk.eigh", _no_envelope_eigh)
     out = tmp_path / "env.csv"
     t0 = time.perf_counter()
     code = main(
@@ -395,7 +418,7 @@ def test_analyze_intensities_rejects_non_finite_values():
 def test_correlate_refuses_non_finite_tau_or_phase_before_eigh(
     net_file, tmp_path, capsys, monkeypatch, extra
 ):
-    monkeypatch.setattr(cli, "eigh", _no_envelope_eigh)
+    monkeypatch.setattr("latsym.walk.eigh", _no_envelope_eigh)
     out = tmp_path / "corr.csv"
     assert main(["correlate", net_file, "-u", "2", "-v", "6", *extra, "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -437,3 +460,90 @@ def test_cert_runs_without_sympy():
     assert got["blocked"]
     assert got["exit"] == got["ref"]["exit"] == 0
     assert got["stdout"] == got["report"] == got["ref"]["stdout"]
+
+
+# Runs in src/ with numpy made unimportable: the exact subcommands, perfbench's
+# stored `latsym latent` and `latsym cert` references among them, and --help.
+NUMPY_BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # every `import numpy` now raises ImportError
+from latsym import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    runs.append({"exit": code, "stdout": out.getvalue()})
+print(json.dumps(runs))
+"""
+
+
+def test_exact_subcommands_run_without_numpy(net_file, tmp_path, capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    refs = json.loads((src.parent / "perfbench" / "cli_reference.json").read_text())
+    csv = tmp_path / "meas.csv"
+    csv.write_text("site,intensity\n1,10\n2,12\n3,980\n")
+    pair = ["-u", "2", "-v", "6"]
+    argvs = [
+        ["cospectral", net_file, *pair],
+        ["cospectral", net_file, "-u", "1", "-v", "5"],
+        ["singlets", net_file, *pair],
+        ["reduce", net_file, *pair],
+        ["intensities", str(csv), "--bg", "10", "-u", "1", "-v", "3"],
+        ["--help"],
+    ]
+    expected = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        expected.append({"exit": code, "stdout": capsys.readouterr().out})
+    for kind in ("latent", "cert"):
+        argvs.append(refs[kind]["argv"])
+        expected.append({"exit": refs[kind]["exit"], "stdout": refs[kind]["stdout"]})
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_BLOCKED, json.dumps(argvs)],
+        cwd=src, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == expected
+    assert [run["exit"] for run in expected] == [0, 1, 0, 0, 0, 0, 0, 0]
+
+
+LAZY_NUMERIC_NAMES = """
+import json, sys
+import latsym
+after_import = "numpy" in sys.modules
+missing_from_dir = sorted(set(latsym.__all__) - set(dir(latsym)))
+eigh = latsym.eigh
+after_eigh = "numpy" in sys.modules
+namespace = {}
+exec("from latsym import *", namespace)
+print(json.dumps({
+    "after_import": after_import,
+    "after_eigh": after_eigh,
+    "eigh_is_walk_eigh": eigh is sys.modules["latsym.walk"].eigh,
+    "unbound": [name for name in latsym.__all__ if name not in namespace],
+    "missing_from_dir": missing_from_dir,
+}))
+"""
+
+
+def test_numeric_names_load_numpy_on_first_access():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_NUMERIC_NAMES],
+        cwd=src, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "after_import": False,
+        "after_eigh": True,
+        "eigh_is_walk_eigh": True,
+        "unbound": [],
+        "missing_from_dir": [],
+    }

@@ -96,6 +96,23 @@ def test_eigh_matches_exact_roots_of_char_poly(oracle_networks):
         assert np.abs(eigh(net).eigenvalues - exact).max() <= 1e-12 * np.abs(h).max()
 
 
+def test_float_hamiltonian_matches_the_fraction_matrix(oracle_networks):
+    # the float matrix is built from the edges; the n x n Fraction matrix it
+    # replaced is the reference, entry for entry, and so is eigh's output
+    nets = [Network(0, [], []), Network(1, [Fraction(-7, 2)], []), build_ninesite(),
+            *oracle_networks]
+    for net in nets:
+        ref = np.array([[float(x) for x in row] for row in net.hamiltonian()]).reshape(net.n, net.n)
+        h = walk._hamiltonian_matrix(net)
+        assert h.dtype == ref.dtype and h.shape == ref.shape
+        assert np.array_equal(h, ref)
+        if net.n:
+            evals, q = np.linalg.eigh(ref)
+            sys = eigh(net)
+            assert np.array_equal(sys.eigenvalues, evals)
+            assert np.array_equal(sys.eigenvectors, q)
+
+
 def test_eigh_reports_non_convergence(monkeypatch):
     def fail(h):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
