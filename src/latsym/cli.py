@@ -137,10 +137,10 @@ def _cmd_cert(args) -> int:
 
 
 def _cmd_scan_boundary(args) -> int:
-    k = Fraction(args.k)
-    emin = Fraction(args.emin)
-    emax = Fraction(args.emax)
-    step = Fraction(args.step)
+    try:
+        k, emin, emax, step = (Fraction(x) for x in (args.k, args.emin, args.emax, args.step))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {exc}") from None
     if step <= 0 or emax < emin:
         raise ValueError("need step > 0 and emax >= emin")
     count = math.floor((emax - emin) / step) + 1

@@ -49,8 +49,8 @@ def is_irreducible(p: RationalPoly) -> bool:
     """Irreducibility over Q, decided exactly in Python integers.
 
     p is scaled to a primitive integer f with lc(f) > 0.  Degree 1 is
-    irreducible; a zero constant term or a repeated factor (an exact gcd over
-    Q, run once f has repeated factors mod five primes) makes f reducible.  A
+    irreducible; a zero constant term or a repeated factor (gcd(f, f') in Z[x],
+    taken once f has repeated factors mod five primes) makes f reducible.  A
     factorisation f = g*h over Z survives mod each prime p not dividing lc(f),
     so deg g is a sum of degrees of factors mod p.  Distinct-degree
     factorisation at up to five primes with f mod p square-free proves f

@@ -1,11 +1,15 @@
 """Exact univariate polynomials and reduced rational functions over Q.
 
-`RationalPoly` and `RationalFunction` hold `fractions.Fraction` coefficients.
-Underneath them is an integer core on ascending lists of Python ints: one gcd
+`RationalPoly` and `RationalFunction` hold `fractions.Fraction` coefficients,
+but compute on an integer core of ascending lists of Python ints: one gcd
 (`_int_gcd`, a primitive PRS), exact division, the Bareiss resultant, and the
-mod-p arithmetic of the irreducibility test.  `poly_gcd` and `resultant`
-scale their inputs to integers and call that core; the spectral layer works
-on it directly and builds `RationalPoly` only for what it returns.
+mod-p arithmetic of the irreducibility test.  Sums, products, the reduction of
+a `RationalFunction`, `poly_gcd` and `resultant` scale their inputs to
+integers, call that core and divide by one common denominator at the end; the
+spectral layer and the irreducibility test work on it directly, so `Fraction`
+appears only at the boundary.  Division with remainder over Q (`divmod`,
+`exact_div`) has no integer counterpart; it and `is_squarefree` are kept for
+users and as test oracles, and nothing in the library calls them.
 Everything here is exact: no floats enter unless the caller evaluates at a
 float/complex point.
 """
@@ -81,13 +85,9 @@ class RationalPoly:
         return hash(self.coeffs)
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPoly(out)
+        (a, s), (b, t) = _integer_coeffs(self), _integer_coeffs(other)
+        # a/s + b/t = (t*a + s*b)/(s*t)
+        return RationalPoly([Fraction(c, s * t) for c in _int_add([t * x for x in a], b, s)])
 
     def __neg__(self) -> "RationalPoly":
         return RationalPoly([-c for c in self.coeffs])
@@ -100,14 +100,8 @@ class RationalPoly:
             return RationalPoly([c * other for c in self.coeffs])
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RationalPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RationalPoly(out)
+        (a, s), (b, t) = _integer_coeffs(self), _integer_coeffs(other)
+        return RationalPoly([Fraction(c, s * t) for c in _int_mul(a, b)])
 
     __rmul__ = __mul__
 
@@ -197,11 +191,10 @@ def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
 
 
 def is_squarefree(p: RationalPoly) -> bool:
-    """gcd(p, p') is constant.  `_is_irreducible` calls it only when p has a
-    repeated factor mod each of several primes; the tests also use it as an oracle."""
+    """gcd(p, p') is constant, by `_int_gcd` on the integer forms."""
     if p.degree < 1:
         raise ValueError("square-freeness is about non-constant polynomials")
-    return poly_gcd(p, p.derivative()).degree == 0
+    return len(_int_gcd(_integer_coeffs(p)[0], _integer_coeffs(p.derivative())[0])) == 1
 
 
 def det_fraction(rows: list[list[Fraction]]) -> Fraction:
@@ -472,9 +465,14 @@ def _zassenhaus(f: list[int], p: int, dd: list, degrees: set[int]) -> bool:
                 for h in subset:
                     g = _mod_mul(g, h, q)
                 g = [c - q if 2 * c > q else c for c in g]
-                # lc(f)/lc(g) * g divides lc(f) * f in Z[x]: test the constant terms first
-                if g[0] and lc * f[0] % g[0] == 0 and (RationalPoly(f) % RationalPoly(g)).is_zero:
-                    return False
+                # lc(f)/lc(g) * g divides lc(f) * f in Z[x]: test the constant terms first;
+                # f is primitive, so g | f over Q iff pp(g) | f in Z[x] (Gauss)
+                if g[0] and lc * f[0] % g[0] == 0:
+                    try:
+                        _int_exact_div(f, _primitive(g))
+                        return False
+                    except ValueError:
+                        pass
     return True
 
 
@@ -494,7 +492,8 @@ def _is_irreducible(poly: RationalPoly) -> bool:
         if len(_mod_gcd(fp, _trim([i * c % p for i, c in enumerate(fp)][1:]), p)) > 1:
             # p divides the discriminant: a square-free f has finitely many such p
             bad += 1
-            if bad == _DEGREE_PRIMES and not is_squarefree(poly):
+            # after five of them, f is square-free iff gcd(f, f') is constant
+            if bad == _DEGREE_PRIMES and len(_int_gcd(f, [i * f[i] for i in range(1, n + 1)])) > 1:
                 return False
             continue
         dd, sums = _distinct_degree(fp, p), {0}
@@ -528,20 +527,12 @@ class RationalFunction:
     def __init__(self, num: RationalPoly, den: RationalPoly = RationalPoly([1])):
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            self.num = RationalPoly()
-            self.den = RationalPoly.one()
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        lead = den.leading
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den.monic()
-        self.num = num
-        self.den = den
+        # num/den = (t*n)/(s*m) for the integer forms s*num = n, t*den = m
+        (n, s), (m, t) = _integer_coeffs(num), _integer_coeffs(den)
+        g = _int_gcd(n, m)
+        n, m = _int_exact_div(n, g), _int_exact_div(m, g)
+        self.num = RationalPoly([Fraction(t * c, s * m[-1]) for c in n])
+        self.den = RationalPoly([Fraction(c, m[-1]) for c in m])
 
     @classmethod
     def from_scalar(cls, c: Scalar) -> "RationalFunction":

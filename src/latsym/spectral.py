@@ -234,8 +234,11 @@ def isospectral_reduction(net: Network, u: int, v: int) -> ReductionMatrix:
     the Jacobi identity phi(G - v)^2 - A_uv^2 = phi(G) D.  D is an exact
     division in Z[mu]: scaled by d^(2n-2), the identity divides the monic
     d^n phi(G) into the squares of the adjugate entries, with quotient d^(n-2) D.
-    Equal diagonal entries are required (they are equal exactly when the pair
-    is cospectral); otherwise this raises.
+    The numerator of a is formed there too, as mu*d^(n-2) D - d^(n-1) phi(G - v)
+    = d^(n-1) (lam*D - phi(G - v)); both terms are monic of degree n - 1, so it
+    has lower degree but still converts to lam with scale d^(n-1).  Equal
+    diagonal entries are required (they are equal exactly when the pair is
+    cospectral); otherwise this raises.
     """
     pair = _pair_polys(net, u, v)
     if pair is None:
@@ -243,10 +246,11 @@ def isospectral_reduction(net: Network, u: int, v: int) -> ReductionMatrix:
             "reduction is not bisymmetric for this pair (the pair is not cospectral)"
         )
     sq = _int_add(_int_mul(pair.phi, pair.phi), _int_mul(pair.a_uv, pair.a_uv), -1)
-    den, phi = _lam_poly(_int_exact_div(sq, pair.phi_g), pair.d), _lam_poly(pair.phi, pair.d)
+    d_mu, deg = _int_exact_div(sq, pair.phi_g), len(pair.phi) - 1
+    den = _lam_poly(d_mu, pair.d)
     return ReductionMatrix(
-        a=RationalFunction(RationalPoly.x() * den - phi, den),
-        b=RationalFunction(_lam_poly(pair.a_uv, pair.d, len(pair.phi) - 1), den),
+        a=RationalFunction(_lam_poly(_int_add([0, *d_mu], pair.phi, -1), pair.d, deg), den),
+        b=RationalFunction(_lam_poly(pair.a_uv, pair.d, deg), den),
     )
 
 

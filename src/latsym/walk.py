@@ -96,6 +96,8 @@ def fidelity_curve(sys: EigenSystem, u: int, v: int, taus: np.ndarray) -> np.nda
 
 # Samples per phase-table block in envelope_scan.
 _PHASE_BLOCK = 512
+# Log-spaced samples kept in envelope_scan's thinned envelope.
+_ENVELOPE_POINTS = 2000
 
 
 @dataclass
@@ -140,13 +142,13 @@ def envelope_scan(
     tau_max: float,
     coarse_step: float,
     chunk_size: int = 500_000,
-    envelope_points: int = 2000,
 ) -> PeakReport:
     """Coarse fidelity scan with refinement of every new running-max record.
 
     A coarse sample beating the running maximum (which includes all refined
     values so far) triggers local parabolic refinement; the envelope output is
-    the running maximum on a logarithmically thinned grid.
+    the running maximum on a logarithmically thinned grid of about
+    _ENVELOPE_POINTS samples.
 
     The coarse curve comes from a phase table.  Sample i = q*B + r (B =
     _PHASE_BLOCK) has amplitude sum_k T[r, k] R[q, k] with T[r, k] =
@@ -171,7 +173,7 @@ def envelope_scan(
         np.concatenate(
             [
                 [0, n_samples - 1],
-                np.round(np.geomspace(1, n_samples, envelope_points)).astype(int) - 1,
+                np.round(np.geomspace(1, n_samples, _ENVELOPE_POINTS)).astype(int) - 1,
             ]
         )
     )

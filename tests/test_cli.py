@@ -101,6 +101,17 @@ def test_scan_boundary_bad_step(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override", [["-k", "1/0"], ["-step", "1/0"], ["-emin", "0/0"]], ids=["k", "step", "emin"]
+)
+def test_scan_boundary_refuses_zero_denominators(override, capsys):
+    argv = ["scan-boundary", "-k", "1", "-emin", "0", "-emax", "1", "-step", "1/10", *override]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: zero denominator")
+
+
 def test_evolve_writes_probability_table(chain2_file, tmp_path, capsys):
     out = tmp_path / "probs.csv"
     code = main(

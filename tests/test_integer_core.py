@@ -16,7 +16,13 @@ import sympy
 from latsym import polynomial
 from latsym.network import Network
 from latsym.ninesite import build_ninesite
-from latsym.pgst import BoundaryPoint, boundary_scan, parity_decompose, pgst_certificate
+from latsym.pgst import (
+    BoundaryPoint,
+    boundary_scan,
+    is_irreducible,
+    parity_decompose,
+    pgst_certificate,
+)
 from latsym.polynomial import (
     RationalPoly,
     _int_exact_div,
@@ -32,6 +38,7 @@ from latsym.spectral import (
     _pair_polys,
     is_strongly_cospectral,
     isospectral_reduction,
+    reduction_charpoly,
 )
 
 X = sympy.Symbol("x")
@@ -245,6 +252,25 @@ def test_pair_path_builds_no_rational_polynomial(monkeypatch):
     report = boundary_scan(build_ninesite, K, SCAN_GRID[70:76])
     assert [p.potential for p in report.points] == SCAN_GRID[70:76]
     assert is_strongly_cospectral(build_ninesite(), 2, 6)
+
+
+def test_reduction_and_irreducibility_need_no_division_over_q(monkeypatch):
+    # RationalFunction reduces by the integer gcd, and _is_irreducible decides
+    # square-freeness and Zassenhaus trial divisions in Z[x]
+    def refuse(*args):
+        raise AssertionError("division with remainder over Q")
+
+    want = reduction_charpoly(isospectral_reduction(build_ninesite(), 2, 6))
+    monkeypatch.setattr(RationalPoly, "__divmod__", refuse)
+    monkeypatch.setattr(polynomial, "poly_gcd", refuse)
+    assert reduction_charpoly(isospectral_reduction(build_ninesite(), 2, 6)) == want
+    x4_plus_1 = RationalPoly([1, 0, 0, 0, 1])  # reaches the Zassenhaus step
+    sd8 = RationalPoly([576, 0, -960, 0, 352, 0, -40, 0, 1])  # of sqrt(2) + sqrt(3) + sqrt(5)
+    square = RationalPoly([1, 0, 1]) * RationalPoly([1, 0, 1])  # repeated factor
+    bad_primes = RationalPoly([-15015, 0, 1])  # square-free, bad at 3, 5, 7, 11, 13
+    assert [is_irreducible(p) for p in (x4_plus_1, sd8, square, bad_primes)] == [
+        True, True, False, True
+    ]
 
 
 def test_mu_resultant_keeps_the_sign_and_scales_by_d_to_the_degree_product():

@@ -71,6 +71,8 @@ HARD = {
     "(x^4-10x^2+1)(x^4+1)": poly(1, 0, -10, 0, 1) * poly(1, 0, 0, 0, 1),
     "-SD8(x)(x^2-2)/3": SD8 * poly(1, 0, -2) * Fraction(-1, 3),
     "(2x^2-3)^2(x^3-x-1)": poly(2, 0, -3) * poly(2, 0, -3) * poly(1, 0, -1, -1),
+    # discriminant 60060 = 4*3*5*7*11*13: five bad primes, yet square-free
+    "x^2-15015": poly(1, 0, -15015),
 }
 
 
