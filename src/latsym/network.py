@@ -2,13 +2,18 @@
 
 A network is a set of 1-based sites, each with a rational on-site term, plus
 symmetric rational couplings between distinct sites.  Absent couplings are
-zero; zero-weight edges are never stored.  Instances are treated as immutable.
+zero; zero-weight edges are never stored.  Instances are immutable: assigning
+to an attribute raises `dataclasses.FrozenInstanceError`, so data derived from
+a network and cached on it can never go stale.  Equality, hashing and repr see
+only n, onsite and edges.
 """
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -32,7 +37,18 @@ def parse_rational(text: str) -> Fraction:
         raise NetworkError(f"zero denominator in rational {text!r}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
+class _IntegerForm:
+    """A = d*H in integers, d the common denominator of H, and walk data on it."""
+
+    d: int
+    rows: tuple[tuple[tuple[int, int], ...], ...]  # row i of A as (0-based site j, A_ij)
+    # 0-based site -> closed-walk state, filled by `spectral`; each entry is an
+    # immutable value replaced whole, so a reader never sees half of one
+    walks: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class Network:
     n: int
     onsite: tuple[Fraction, ...]
@@ -54,11 +70,24 @@ class Network:
             if key in canon:
                 raise NetworkError(f"duplicate edge {key}")
             canon[key] = Fraction(w)
-        self.n = n
-        self.onsite = onsite_t
-        self.edges = tuple(
-            (i, j, w) for (i, j), w in sorted(canon.items()) if w != 0
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "onsite", onsite_t)
+        object.__setattr__(
+            self, "edges", tuple((i, j, w) for (i, j), w in sorted(canon.items()) if w != 0)
         )
+
+    @cached_property
+    def _integer_form(self) -> _IntegerForm:
+        """Computed on first use and kept: the network cannot change under it."""
+        d = lcm(*(e.denominator for e in self.onsite), *(w.denominator for *_, w in self.edges))
+        rows = [
+            [(i, e.numerator * d // e.denominator)] if e else [] for i, e in enumerate(self.onsite)
+        ]
+        for i, j, w in self.edges:
+            a = w.numerator * d // w.denominator
+            rows[i - 1].append((j - 1, a))
+            rows[j - 1].append((i - 1, a))
+        return _IntegerForm(d, tuple(map(tuple, rows)))
 
     def coupling(self, i: int, j: int) -> Fraction:
         key = (i, j) if i < j else (j, i)
@@ -190,23 +219,26 @@ def has_swap_automorphism(net: Network, u: int, v: int) -> bool:
     """Is there a weight-preserving vertex permutation exchanging u and v?
 
     Plain backtracking; candidates pruned on the (onsite, incident-weight
-    multiset) vertex invariant, which is preserved by any automorphism.
+    multiset) vertex invariant, which is preserved by any automorphism.  The
+    invariants come from one pass over the edges, and vertices are grouped by
+    hashing them, so the set-up is O(n + |E|) apart from sorting each weight list.
     """
     net.check_pair(u, v)
     n = net.n
     wt = net.coupling_map()
 
-    def invariant(x: int):
-        inc = sorted(w for (a, b), w in wt.items() if a == x)
-        return (net.onsite[x - 1], tuple(inc))
-
-    inv = {x: invariant(x) for x in range(1, n + 1)}
+    incident = [[] for _ in range(n + 1)]
+    for i, j, w in net.edges:
+        incident[i].append(w)
+        incident[j].append(w)
+    inv = {x: (net.onsite[x - 1], tuple(sorted(incident[x]))) for x in range(1, n + 1)}
     if inv[u] != inv[v]:
         return False
 
-    candidates = {
-        x: [y for y in range(1, n + 1) if inv[y] == inv[x]] for x in range(1, n + 1)
-    }
+    groups: dict[tuple, list[int]] = {}
+    for x in range(1, n + 1):
+        groups.setdefault(inv[x], []).append(x)
+    candidates = {x: groups[inv[x]] for x in range(1, n + 1)}
     assigned = {u: v, v: u}
     used = {u, v}
     order = sorted(

@@ -12,6 +12,7 @@ Tr(P_plus)/deg(P_plus) != Tr(P_minus)/deg(P_minus).  Irreducibility is exact,
 from factor degrees mod small primes and a Zassenhaus fallback (`is_irreducible`).
 """
 
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -223,12 +224,23 @@ class BoundaryReport:
 
 def _min_root_distance(p_plus: list[int], p_minus: list[int], d: int) -> float:
     """Least distance between the real parts of the roots in lam of two integer
-    polynomials in mu = d*lam."""
+    polynomials in mu = d*lam.
+
+    Raises PGSTError when a coefficient in lam is beyond the float range.
+    """
     import numpy as np
 
     def real_roots(p):
         m = len(p) - 1
-        return np.roots([p[i] / d ** (m - i) for i in range(m, -1, -1)]).real
+        try:
+            coeffs = [p[i] / d ** (m - i) for i in range(m, -1, -1)]
+        except OverflowError:
+            raise PGSTError(
+                "a parity-factor coefficient exceeds the float range "
+                f"(|x| <= {sys.float_info.max:.4g}) of the numeric root distance; "
+                "use smaller couplings"
+            ) from None
+        return np.roots(coeffs).real
 
     return float(np.abs(real_roots(p_plus)[:, None] - real_roots(p_minus)[None, :]).min())
 

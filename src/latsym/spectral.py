@@ -36,14 +36,22 @@ is a singlet iff z_j[w] = 0, for every j < n.  Proof: the adjugate's
 coefficients B_k = sum_(j<=k) c_(k-j) A^j (c_0 = 1) are unitriangular in the
 powers, so adj_uw = adj_vw iff (A^j)_uw = (A^j)_vw for every j < n, w = u, v
 included; and z_j[u] + z_j[v] = (A^j)_uu - (A^j)_vv, as A^j is symmetric.
+So cospectrality compares closed-walk counts s_j(w) = (A^j)_ww, j < n, of the
+two sites alone.  They come from y_i = A^i e_w as s_2i = y_i.y_i and
+s_(2i+1) = y_i.y_(i+1), so a site needs at most ceil((n - 1)/2) sparse
+products.  A network computes d and the rows of A once, and each site's
+counts are kept on it, extended only as far as a query compares them: every
+pair query on one network shares them.  Singlet sites need every entry of
+z_j and walk the pair vector itself.
 
 Everything in this module is exact integer or rational arithmetic; identical
 inputs give bit-identical outputs.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .network import Network, has_swap_automorphism
@@ -55,6 +63,7 @@ from .polynomial import (
     _int_gcd,
     _int_mul,
     _int_resultant,
+    _integer_coeffs,
     _lam_poly,
     _trim,
 )
@@ -64,28 +73,49 @@ class SpectralError(ValueError):
     pass
 
 
-def _scaled_rows(net: Network) -> tuple[int, list[list[tuple[int, int]]]]:
-    """d, the common denominator of H, and the rows of A = d*H as (site, A_ij) lists."""
-    d = lcm(*(e.denominator for e in net.onsite), *(w.denominator for *_, w in net.edges))
-    rows = [[(i, e.numerator * d // e.denominator)] if e else [] for i, e in enumerate(net.onsite)]
-    for i, j, w in net.edges:
-        a = w.numerator * d // w.denominator
-        rows[i - 1].append((j - 1, a))
-        rows[j - 1].append((i - 1, a))
-    return d, rows
+def _times_a(rows, y: list[int]) -> list[int]:
+    """A y for A given by its rows, touching only the rows of y's support."""
+    out = [0] * len(rows)
+    for k, yk in enumerate(y):
+        if yk:
+            for j, a in rows[k]:
+                out[j] += a * yk
+    return out
 
 
-def _walk_singlets(net: Network, u: int, v: int) -> frozenset[int] | None:
-    """Singlet sites of (u, v) from z_j = A^j (e_u - e_v), j < n; None unless cospectral."""
-    net.check_pair(u, v)
-    _, rows = _scaled_rows(net)
+def _closed_walks(net: Network, w: int, j: int) -> tuple[int, ...]:
+    """s_0, ..., s_m, m >= j, of 0-based site w: s_i = (A^i)_ww, A = d*H.
+
+    The network's walk table holds (counts, y_i) per site and is extended two
+    counts per product; an entry is replaced whole, never changed in place.
+    """
+    form = net._integer_form
+    counts, y = form.walks.get(w, ((1,), None))
+    if len(counts) > j:
+        return counts
+    if y is None:
+        y = [0] * net.n
+        y[w] = 1
+    counts = list(counts)
+    while len(counts) <= j:
+        nxt = _times_a(form.rows, y)
+        counts += (sum(map(mul, y, nxt)), sum(map(mul, nxt, nxt)))
+        y = nxt
+    counts = tuple(counts)
+    form.walks[w] = (counts, tuple(y))
+    return counts
+
+
+def _walk_singlets(net: Network, u: int, v: int) -> frozenset[int]:
+    """Sites w outside the pair with z_j[w] = 0 for every j < n, z_j = A^j (e_u - e_v)."""
+    rows = net._integer_form.rows
     z = [0] * net.n
     z[u - 1], z[v - 1] = 1, -1
     alive = set(range(net.n)) - {u - 1, v - 1}
     for _ in range(net.n - 1):
-        z = [sum(a * z[j] for j, a in row) for row in rows]
-        if z[u - 1] != -z[v - 1]:
-            return None
+        if not alive:
+            break
+        z = _times_a(rows, z)
         alive = {w for w in alive if z[w] == 0}
     return frozenset(w + 1 for w in alive)
 
@@ -106,7 +136,7 @@ def _adjugate(
     Only the current B_k is kept; the listed entries are read off it as it goes.
     """
     n = net.n
-    d, a = _scaled_rows(net)
+    d, a = net._integer_form.d, net._integer_form.rows
     b = [[int(i == j) for j in range(n)] for i in range(n)]
     cs, reads = [1], [[] for _ in entries]
     for k in range(1, n + 1):
@@ -131,8 +161,16 @@ def char_poly(net: Network) -> RationalPoly:
 
 
 def is_cospectral(net: Network, u: int, v: int) -> bool:
-    """Equal characteristic polynomials after deleting u resp. v."""
-    return _walk_singlets(net, u, v) is not None
+    """Equal characteristic polynomials after deleting u resp. v.
+
+    Decided as s_j(u) = s_j(v) for the closed-walk counts, j < n (see the
+    module docstring), stopping at the first j where they differ.
+    """
+    net.check_pair(u, v)
+    for j in range(net.n):
+        if _closed_walks(net, u - 1, j)[j] != _closed_walks(net, v - 1, j)[j]:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -212,10 +250,9 @@ def is_latent_symmetric(net: Network, u: int, v: int) -> bool:
 
 def singlet_sites(net: Network, u: int, v: int) -> frozenset[int]:
     """Sites w outside the cospectral pair with (H^m)[u,w] = (H^m)[v,w] for every m."""
-    sites = _walk_singlets(net, u, v)
-    if sites is None:
+    if not is_cospectral(net, u, v):
         raise SpectralError("singlet sites are defined relative to a cospectral pair")
-    return sites
+    return _walk_singlets(net, u, v)
 
 
 @dataclass(frozen=True)
@@ -257,13 +294,25 @@ def isospectral_reduction(net: Network, u: int, v: int) -> ReductionMatrix:
 def reduction_charpoly(red: ReductionMatrix) -> RationalPoly:
     """Numerator of (a(lam) - lam)^2 - b(lam)^2 after full cancellation, monic.
 
-    Its roots are the non-linear eigenvalues of the reduction.
+    Its roots are the non-linear eigenvalues of the reduction.  With
+    a = a_n/a_d and b = b_n/b_d in integer polynomials, the difference is
+    ((a_n - lam*a_d)^2 b_d^2 - b_n^2 a_d^2)/(a_d^2 b_d^2), reduced by one gcd.
     """
-    lam = RationalFunction(RationalPoly.x())
-    q = (red.a - lam) * (red.a - lam) - red.b * red.b
-    if q.num.is_zero:
+
+    def integer_form(f: RationalFunction) -> tuple[list[int], list[int]]:
+        (num, s), (den, t) = _integer_coeffs(f.num), _integer_coeffs(f.den)
+        return [t * c for c in num], [s * c for c in den]
+
+    (a_n, a_d), (b_n, b_d) = integer_form(red.a), integer_form(red.b)
+    a_d2, b_d2 = _int_mul(a_d, a_d), _int_mul(b_d, b_d)
+    shifted = _int_add(a_n, [0, *a_d], -1)
+    num = _int_add(
+        _int_mul(_int_mul(shifted, shifted), b_d2), _int_mul(_int_mul(b_n, b_n), a_d2), -1
+    )
+    if not num:
         raise SpectralError("degenerate reduction: identically zero determinant")
-    return q.num.monic()
+    q = _int_exact_div(num, _int_gcd(num, _int_mul(a_d2, b_d2)))
+    return RationalPoly([Fraction(c, q[-1]) for c in q])
 
 
 def is_strongly_cospectral(net: Network, u: int, v: int) -> bool:

@@ -112,6 +112,16 @@ def test_scan_boundary_refuses_zero_denominators(override, capsys):
     assert captured.err.startswith("error: zero denominator")
 
 
+def test_scan_boundary_refuses_couplings_beyond_the_float_range(capsys):
+    # the root distance reads the parity factors in floats; their coefficients
+    # grow like powers of k, and at k = 1e400 one overflowed with a traceback
+    argv = ["scan-boundary", "-k", "1e400", "-emin", "0", "-emax", "1/10", "-step", "1/10"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a parity-factor coefficient exceeds the float range")
+
+
 def test_evolve_writes_probability_table(chain2_file, tmp_path, capsys):
     out = tmp_path / "probs.csv"
     code = main(

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -15,6 +17,7 @@ from latsym.network import (
     serialize_network,
 )
 from latsym.ninesite import build_ninesite
+from latsym.spectral import is_cospectral
 
 
 def path_network(n, k=Fraction(1), onsite=None):
@@ -225,6 +228,66 @@ def test_swap_automorphism_is_relabeling_invariant():
         assert has_swap_automorphism(shuffled, perm[1], perm[9]) == has_swap_automorphism(
             net, 1, 9
         )
+
+
+def symmetric_weighted_network(rng, n):
+    """Random network, weights and on-site terms from small sets so that
+    automorphisms are common; half the time a random involution is planted."""
+    ids = list(range(1, n + 1))
+    rng.shuffle(ids)
+    swaps = rng.randint(0, n // 2)
+    sigma = {x: x for x in ids}
+    for a, b in zip(ids[: 2 * swaps : 2], ids[1 : 2 * swaps : 2]):
+        sigma[a], sigma[b] = b, a
+    onsite, weights = {}, {}
+    for x in ids:
+        onsite[x] = onsite.get(sigma[x], rng.choice([Fraction(0), Fraction(0), Fraction(-1, 2)]))
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        image = tuple(sorted((sigma[i], sigma[j])))
+        weights[(i, j)] = weights.get(image, rng.choice([0, 0, 1, 1, 2, Fraction(-1, 3)]))
+    return Network(n, [onsite[x] for x in range(1, n + 1)], [(i, j, w) for (i, j), w in weights.items()])
+
+
+def brute_force_swaps(net):
+    """Pairs {u, v} exchanged by some permutation preserving on-site terms and
+    couplings, over all n! permutations."""
+    h = net.hamiltonian()
+    found = set()
+    for perm in itertools.permutations(range(net.n)):
+        if all(h[perm[i]][perm[j]] == h[i][j] for i in range(net.n) for j in range(i, net.n)):
+            found.update((u + 1, perm[u] + 1) for u in range(net.n) if perm[perm[u]] == u != perm[u])
+    return found
+
+
+def test_swap_automorphism_matches_brute_force_over_all_permutations():
+    rng = random.Random(7)
+    swaps = 0
+    for n in range(2, 8):
+        for _ in range(4 if n == 7 else 8):
+            net = symmetric_weighted_network(rng, n)
+            want = brute_force_swaps(net)
+            swaps += len(want)
+            for u, v in itertools.permutations(range(1, n + 1), 2):
+                assert has_swap_automorphism(net, u, v) == ((u, v) in want), (net, u, v)
+    assert swaps >= 40
+
+
+def test_network_is_frozen():
+    net = path_network(3)
+    for name, value in (("n", 4), ("onsite", ()), ("edges", ()), ("extra", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(net, name, value)
+    assert net == path_network(3)
+
+
+def test_equality_hash_and_repr_ignore_cached_data():
+    warm, fresh = build_ninesite(), build_ninesite()
+    text = repr(warm)
+    assert is_cospectral(warm, 2, 6)  # computes and caches the integer form and walks
+    assert "_integer_form" in vars(warm) and "_integer_form" not in vars(fresh)
+    assert warm == fresh and hash(warm) == hash(fresh)
+    assert repr(warm) == repr(fresh) == text
+    assert warm != build_ninesite(potential=Fraction(1, 3))
 
 
 def test_check_pair():

@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from latsym import spectral
 from latsym.network import Network
 from latsym.ninesite import build_ninesite
+from latsym.pgst import pgst_certificate
 from latsym.polynomial import RationalFunction, RationalPoly, _lam_poly, det_fraction
 from latsym.spectral import (
+    ReductionMatrix,
     SpectralError,
     _adjugate,
     _pair_polys,
@@ -168,6 +171,64 @@ def test_is_cospectral_validates_pair():
         is_cospectral(net, 0, 2)
 
 
+def deleted_charpoly_values(net, w):
+    """det(x*I - H) with site w deleted, at x = 0, ..., n - 1, by det_fraction."""
+    h = net.hamiltonian()
+    keep = [i for i in range(net.n) if i != w - 1]
+    return [
+        det_fraction([[Fraction(x * (i == j)) - h[i][j] for j in keep] for i in keep])
+        for x in range(net.n)
+    ]
+
+
+def test_cospectral_pairs_on_one_network_match_the_deleted_vertex_oracle(
+    oracle_networks, monkeypatch
+):
+    # every pair is asked of one Network object, so later queries read the
+    # closed-walk counts that earlier ones left on it; two monic polynomials of
+    # degree n - 1 are equal iff they agree at n points
+    rng = random.Random(41)
+    mirrored_paths = [
+        path_network(n, Fraction(-2, 3), [Fraction(min(i, n - 1 - i), 2) for i in range(n)])
+        for n in range(2, 9)
+    ]
+    nets = [*mirrored_paths, *(rand_network(rng, 8) for _ in range(20)), *oracle_networks]
+    products = []
+    times_a = spectral._times_a
+
+    def counted(rows, y):
+        products.append(len(y))
+        return times_a(rows, y)
+
+    monkeypatch.setattr(spectral, "_times_a", counted)
+    cospectral = 0
+    for net in nets:
+        values = [deleted_charpoly_values(net, w) for w in range(1, net.n + 1)]
+        pairs = list(itertools.combinations(range(1, net.n + 1), 2))
+        want = {(u, v): values[u - 1] == values[v - 1] for u, v in pairs}
+        cospectral += sum(want.values())
+        rng.shuffle(pairs)
+        assert {(u, v): is_cospectral(net, u, v) for u, v in pairs} == want
+        products.clear()
+        rng.shuffle(pairs)
+        assert {(u, v): is_cospectral(net, v, u) for u, v in pairs} == want
+        assert products == []  # the warm queries read the walk table only
+    assert cospectral >= 20
+
+
+def test_singlets_and_certificate_agree_on_a_warm_network_and_a_fresh_copy(oracle_networks):
+    checked = 0
+    for net in [*oracle_networks, build_ninesite(), path_network(5)]:
+        pairs = itertools.combinations(range(1, net.n + 1), 2)
+        for u, v in [p for p in pairs if is_cospectral(net, *p)]:  # warms net
+            fresh = Network(net.n, net.onsite, net.edges)
+            assert singlet_sites(net, u, v) == singlet_sites(fresh, u, v)
+            fresh = Network(net.n, net.onsite, net.edges)
+            assert pgst_certificate(net, u, v).to_dict() == pgst_certificate(fresh, u, v).to_dict()
+            checked += 1
+    assert checked >= 8
+
+
 def test_singlet_sites_path():
     assert singlet_sites(path_network(3), 1, 3) == frozenset({2})
     assert singlet_sites(path_network(5), 1, 5) == frozenset({3})
@@ -266,6 +327,40 @@ def test_reduction_preserves_point_spectrum():
 def test_reduction_charpoly_three_site():
     red = isospectral_reduction(path_network(3), 1, 3)
     assert reduction_charpoly(red) == RationalPoly([-2, 0, 1])
+
+
+def rational_function_charpoly(red):
+    """reduction_charpoly by RationalFunction arithmetic: its test oracle."""
+    lam = RationalFunction(RationalPoly.x())
+    return ((red.a - lam) * (red.a - lam) - red.b * red.b).num.monic()
+
+
+def test_reduction_charpoly_matches_rational_function_arithmetic(oracle_networks):
+    nets = [*oracle_networks, build_ninesite(), build_ninesite(Fraction(10**7), Fraction(1, 3)),
+            path_network(2), path_network(5)]
+    reds = [
+        isospectral_reduction(net, u, v)
+        for net in nets
+        for u, v in itertools.combinations(range(1, net.n + 1), 2)
+        if is_cospectral(net, u, v)
+    ]
+    # unequal denominators and a zero off-diagonal, beyond what isospectral_reduction gives
+    reds += [
+        ReductionMatrix(
+            RationalFunction(RationalPoly([1, Fraction(2, 3)]), RationalPoly([3, 0, 2])),
+            RationalFunction(RationalPoly([Fraction(-1, 2)]), RationalPoly([-1, 5])),
+        ),
+        ReductionMatrix(
+            RationalFunction(RationalPoly([Fraction(7, 4), 0, 1]), RationalPoly([0, 1])),
+            RationalFunction(RationalPoly.zero()),
+        ),
+    ]
+    assert len(reds) >= 12
+    for red in reds:
+        assert reduction_charpoly(red).coeffs == rational_function_charpoly(red).coeffs
+    lam = RationalFunction(RationalPoly.x())
+    with pytest.raises(SpectralError, match="identically zero"):
+        reduction_charpoly(ReductionMatrix(lam, RationalFunction(RationalPoly.zero())))
 
 
 def test_strong_cospectrality():
