@@ -29,9 +29,9 @@ from .spectral import (
 )
 
 
-# Largest grid `scan-boundary` accepts.  Each point needs an adjugate pass, two
-# exact gcds and one resultant; at k = 27/50 the scan takes about 11 s for this
-# many points.  A larger grid is refused before any work rather than left running.
+# Largest grid `scan-boundary` accepts.  Each point walks a new network (every
+# site's closed-walk counts and one row walk), then takes two exact gcds and one
+# resultant.  A larger grid is refused before any work rather than left running.
 MAX_SCAN_POINTS = 10_000
 
 # Largest `evolve` grid, in rows times sites.  The probabilities are held in

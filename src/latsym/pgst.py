@@ -223,26 +223,51 @@ class BoundaryReport:
 
 
 def _min_root_distance(p_plus: list[int], p_minus: list[int], d: int) -> float:
-    """Least distance between the real parts of the roots in lam of two integer
-    polynomials in mu = d*lam.
+    """Least distance between the real parts of the roots in lam of two monic
+    integer polynomials in mu = d*lam.
 
-    Raises PGSTError when a coefficient in lam is beyond the float range.
+    np.roots reads the coefficients in lam while each is a normal float (the
+    distances the tests compare bit for bit).  At couplings where one is not,
+    it reads them in nu = mu/2^e instead, with 2^e >= |c_i|^(1/(m-i)) for every
+    coefficient c_i of mu^i in a factor of degree m, so none exceeds 1 and every
+    root is below 2 (Fujiwara's bound); the distance is scaled back by 2^e/d
+    exactly.  Raises PGSTError when it is beyond the float range.
     """
     import numpy as np
 
-    def real_roots(p):
-        m = len(p) - 1
-        try:
-            coeffs = [p[i] / d ** (m - i) for i in range(m, -1, -1)]
-        except OverflowError:
-            raise PGSTError(
-                "a parity-factor coefficient exceeds the float range "
-                f"(|x| <= {sys.float_info.max:.4g}) of the numeric root distance; "
-                "use smaller couplings"
-            ) from None
-        return np.roots(coeffs).real
+    polys = (p_plus, p_minus)
+    try:
+        in_lam = all(
+            abs(c / d ** (len(p) - 1 - i)) >= sys.float_info.min
+            for p in polys for i, c in enumerate(p) if c
+        )
+    except OverflowError:
+        in_lam = False
+    scale = d if in_lam else 1 << max(
+        (-(-c.bit_length() // (len(p) - 1 - i)) for p in polys for i, c in enumerate(p[:-1])),
+        default=0,
+    )
 
-    return float(np.abs(real_roots(p_plus)[:, None] - real_roots(p_minus)[None, :]).min())
+    def roots(p):
+        m = len(p) - 1
+        return np.roots([p[i] / scale ** (m - i) for i in range(m, -1, -1)]).real
+
+    dist = float(np.abs(roots(p_plus)[:, None] - roots(p_minus)[None, :]).min())
+    try:
+        scaled = float(Fraction(dist) * scale / d)
+    except OverflowError:
+        raise PGSTError(
+            "a parity-factor coefficient exceeds the float range "
+            f"(|x| <= {sys.float_info.max:.4g}) of the numeric root distance; "
+            "use smaller couplings"
+        ) from None
+    if dist and scaled < sys.float_info.min:
+        raise PGSTError(
+            "the parity-factor root distance is below the float range "
+            f"(|x| >= {sys.float_info.min:.4g}) of the numeric root distance; "
+            "use larger couplings"
+        )
+    return scaled
 
 
 def boundary_scan(

@@ -1,21 +1,25 @@
 """Exact spectral analysis: characteristic polynomials, cospectrality,
 walk equivalence, and the isospectral reduction onto a site pair.
 
-Every exact polynomial comes from one engine, `_adjugate`: a single
-Faddeev-LeVerrier pass in integers gives phi(G) = det(lam*I - H) and the
-entries of the polynomial adjugate adj(lam*I - H) it is asked for, keeping
-only the current n x n coefficient matrix.  For a pair (u, v) it reads three:
-the diagonal entries phi(G - u) and phi(G - v) (equal exactly when the pair is
-cospectral) and the off-diagonal entry A_uv.
+One engine: walks on A = dH, d the common denominator of H, by `_times_a`, a
+sparse product in Python integers.  The network keeps each site's closed-walk
+counts s_j(w) = (A^j)_ww, extended only as far as a query reads them, so
+every query on one network shares them; from y_i = A^i e_w, s_2i = y_i.y_i
+and s_(2i+1) = y_i.y_(i+1), at most ceil(n/2) products per site.
 
-Integer polynomials.  With A = dH, d the common denominator of H, and
-mu = d*lam, det(mu*I - A) = d^n phi(G) and adj(mu*I - A) =
-d^(n-1) adj(lam*I - H) have integer coefficients, and det(mu*I - A) is monic.
-So the pair polynomials below are integer lists in mu, and by Gauss's lemma
-their gcds with it and the quotients are monic in Z[mu].  A polynomial scaled
-by d^m (m its degree, or n - 1 for an off-diagonal adjugate entry) becomes one
-in lam by dividing its coefficient of mu^i by d^(m-i).  The resultant of two
-monic polynomials of degrees m and k grows by d^(m*k), so it keeps its sign.
+Integer polynomials.  With mu = d*lam, det(mu*I - A) = d^n phi(G) =
+sum c_k mu^(n-k) is monic: c_0 = 1 and, by Newton's identities,
+c_k = -(sum_(i<=k) c_(k-i) p_i)/k, an exact division, with the power sums
+p_i = tr A^i = sum_w s_i(w).  adj(mu*I - A) = d^(n-1) adj(lam*I - H) =
+sum B_k mu^(n-1-k) with B_k = sum_(j<=k) c_(k-j) A^j (Godsil, Algebraic
+Combinatorics, 1993), so `_adjugate` reads a diagonal entry off s_j(i) and
+entry (i, j) off the walk A^j e_i.  A pair (u, v) reads three: phi(G - u)
+and phi(G - v), equal exactly when the pair is cospectral, and A_uv.  By
+Gauss's lemma the gcds of these with phi(G), and the quotients, are monic in
+Z[mu].  A polynomial scaled by d^m (m its degree, or n - 1 for an
+off-diagonal adjugate entry) becomes one in lam by dividing its coefficient
+of mu^i by d^(m-i).  The resultant of two monic polynomials of degrees m and
+k grows by d^(m*k), so it keeps its sign.
 
 Strong cospectrality.  With E_theta the eigenprojectors of H,
 G_vv +/- G_uv = (phi(G - v) +/- A_uv)/phi(G)
@@ -30,19 +34,10 @@ share one.  Strong cospectrality is therefore resultant(P+, P-) != 0.  That
 test, P+/-, and the split of phi(G) into P+ P- P0 live in one place, the pair
 data `_pair_polys` returns; every caller in latsym reads them from there.
 
-Walk counts.  Cospectrality and singlet sites need no adjugate.  With A = dH
-and z_j = A^j (e_u - e_v), the pair is cospectral iff z_j[u] = -z_j[v], and w
-is a singlet iff z_j[w] = 0, for every j < n.  Proof: the adjugate's
-coefficients B_k = sum_(j<=k) c_(k-j) A^j (c_0 = 1) are unitriangular in the
+Cospectrality and singlets need no adjugate.  B_k is unitriangular in the
 powers, so adj_uw = adj_vw iff (A^j)_uw = (A^j)_vw for every j < n, w = u, v
-included; and z_j[u] + z_j[v] = (A^j)_uu - (A^j)_vv, as A^j is symmetric.
-So cospectrality compares closed-walk counts s_j(w) = (A^j)_ww, j < n, of the
-two sites alone.  They come from y_i = A^i e_w as s_2i = y_i.y_i and
-s_(2i+1) = y_i.y_(i+1), so a site needs at most ceil((n - 1)/2) sparse
-products.  A network computes d and the rows of A once, and each site's
-counts are kept on it, extended only as far as a query compares them: every
-pair query on one network shares them.  Singlet sites need every entry of
-z_j and walk the pair vector itself.
+included.  The pair is therefore cospectral iff s_j(u) = s_j(v), and w is a
+singlet iff z_j[w] = 0 with z_j = A^j (e_u - e_v), for every j < n.
 
 Everything in this module is exact integer or rational arithmetic; identical
 inputs give bit-identical outputs.
@@ -126,32 +121,30 @@ def _adjugate(
     """d, phi(G) and the listed entries [adj(lam*I - H)]_ij (0-based sites), as
     integer polynomials in mu = d*lam (ascending lists).
 
-    Faddeev-LeVerrier on A = d*H, d the common denominator of H, in Python
-    integers: B_0 = I, c_k = -tr(A B_(k-1))/k (an exact division, since the
-    c_k are the coefficients of det(mu*I - A)) and B_k = A B_(k-1) + c_k I.
-    Then det(mu*I - A) = d^n phi(G) = sum c_k mu^(n-k) and adj(mu*I - A) =
-    d^(n-1) adj(lam*I - H) = sum B_k mu^(n-1-k).  Every B_k is a polynomial
-    in the symmetric A, so it is symmetric: only the upper triangle of each
-    product is formed, and tr(A B) is read elementwise as the sum of A_ij B_ij.
-    Only the current B_k is kept; the listed entries are read off it as it goes.
+    c_k from the power sums p_i = sum_w s_i(w) by Newton's identities, and
+    entry (i, j) as B_k[i][j] = sum_(t<=k) c_(k-t) (A^t)_ij (module docstring):
+    (A^t)_ii are the closed-walk counts of i, and the entries of row i off the
+    diagonal share one walk A^t e_i, t < n.
     """
-    n = net.n
-    d, a = net._integer_form.d, net._integer_form.rows
-    b = [[int(i == j) for j in range(n)] for i in range(n)]
-    cs, reads = [1], [[] for _ in entries]
+    n, rows = net.n, net._integer_form.rows
+    counts = [_closed_walks(net, w, n) for w in range(n)]
+    p = [sum(s[i] for s in counts) for i in range(1, n + 1)]
+    cs = [1]
     for k in range(1, n + 1):
-        for read, (i, j) in zip(reads, entries):
-            read.append(b[i][j])
-        c = -sum(x * b[i][j] for i, row in enumerate(a) for j, x in row) // k
-        cs.append(c)
-        if k == n:
-            break
-        prev, b = b, [[0] * n for _ in range(n)]
-        for i, row in enumerate(a):
-            for j in range(i, n):
-                b[i][j] = b[j][i] = sum(x * prev[l][j] for l, x in row)
-            b[i][i] += c
-    return d, cs[::-1], [_trim(read[::-1]) for read in reads]
+        cs.append(-sum(map(mul, cs[::-1], p)) // k)
+    walks: dict[int, list[list[int]]] = {}
+    reads = []
+    for i, j in entries:
+        if i == j:
+            seq = counts[i]
+        else:
+            if i not in walks:
+                walks[i] = [[int(w == i) for w in range(n)]]
+                while len(walks[i]) < n:
+                    walks[i].append(_times_a(rows, walks[i][-1]))
+            seq = [x[j] for x in walks[i]]
+        reads.append(_trim([sum(map(mul, cs[k::-1], seq)) for k in range(n - 1, -1, -1)]))
+    return net._integer_form.d, cs[::-1], reads
 
 
 def char_poly(net: Network) -> RationalPoly:
@@ -231,7 +224,7 @@ class _PairPolys:
 
 
 def _pair_polys(net: Network, u: int, v: int) -> _PairPolys | None:
-    """The polynomials of a pair from one adjugate pass; None unless cospectral.
+    """The polynomials of a pair from one `_adjugate` call; None unless cospectral.
 
     phi(G - u) and phi(G - v) are the diagonal entries adj_uu and adj_vv.
     """

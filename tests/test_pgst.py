@@ -434,6 +434,21 @@ def test_boundary_root_distance_dips_near_breakdown():
     assert far.points[0].min_root_distance > 0.1
 
 
+def test_boundary_root_distance_holds_at_every_coupling_in_float_range():
+    # where a coefficient in lam leaves the normal float range the roots are
+    # found in mu/2^e, so a tiny coupling no longer underflows and a huge one
+    # no longer overflows; at E = k/10 the nine-site distance is 0.1366846*k
+    for k in (Fraction(27, 50), Fraction(1, 10**5), Fraction(1, 10**100),
+              Fraction(1, 10**200), Fraction(10**7), Fraction(10**100)):
+        point = boundary_scan(build_ninesite, k, [k / 10]).points[0]
+        assert point.strongly_cospectral
+        assert point.min_root_distance / float(k) == pytest.approx(0.1366846, rel=1e-6)
+    # beyond the float range the distance is refused, never returned as 0.0
+    for k in (Fraction(1, 10**400), Fraction(10**400)):
+        with pytest.raises(PGSTError, match="float range"):
+            boundary_scan(build_ninesite, k, [k / 10])
+
+
 def test_boundary_scan_ignores_sign_flip_where_a_parity_factor_drops_a_degree():
     # at E = 0 the nine-site P+ has degree 6 instead of 7, which flips the
     # resultant's sign although no parity eigenvalues cross

@@ -229,6 +229,32 @@ def test_singlets_and_certificate_agree_on_a_warm_network_and_a_fresh_copy(oracl
     assert checked >= 8
 
 
+def test_exact_answers_do_not_depend_on_what_the_walk_table_already_holds(oracle_networks):
+    # phi(G) reads every site's closed-walk counts from the network's table, so
+    # a table that cospectrality or singlet queries extended first must give
+    # the same polynomials as a fresh one
+    checked = 0
+    for net in [*oracle_networks, build_ninesite(), path_network(5)]:
+        pairs = list(itertools.combinations(range(1, net.n + 1), 2))
+        cospectral = [p for p in pairs if is_cospectral(Network(net.n, net.onsite, net.edges), *p)]
+        for u, v in cospectral:
+            fresh, all_pairs, singlets = (Network(net.n, net.onsite, net.edges) for _ in range(3))
+            for p in pairs:
+                is_cospectral(all_pairs, *p)
+            singlet_sites(singlets, u, v)
+            answers = [
+                (
+                    pgst_certificate(copy, u, v).to_dict(),
+                    isospectral_reduction(copy, u, v),
+                    char_poly(copy),
+                )
+                for copy in (fresh, all_pairs, singlets)
+            ]
+            assert answers[0] == answers[1] == answers[2]
+            checked += 1
+    assert checked >= 8
+
+
 def test_singlet_sites_path():
     assert singlet_sites(path_network(3), 1, 3) == frozenset({2})
     assert singlet_sites(path_network(5), 1, 5) == frozenset({3})
@@ -407,9 +433,16 @@ def sample_points(n):
 
 
 SMALL_NETWORKS = [
+    Network(0, [], []),
     Network(1, [Fraction(5, 3)], []),
     Network(2, [Fraction(-1, 2), Fraction(2, 3)], [(1, 2, Fraction(3, 4))]),
     path_network(2, k=Fraction(3, 5)),
+    Network(4, [Fraction(0)] * 4, []),  # zero H: empty rows, every trace 0
+    Network(  # two components with on-site terms
+        5,
+        [Fraction(1, 2), Fraction(0), Fraction(-3), Fraction(0), Fraction(2, 7)],
+        [(1, 2, Fraction(1, 3)), (4, 5, Fraction(2))],
+    ),
 ]
 
 
