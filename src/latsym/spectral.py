@@ -13,8 +13,8 @@ c_k = -(sum_(i<=k) c_(k-i) p_i)/k, an exact division, with the power sums
 p_i = tr A^i = sum_w s_i(w).  adj(mu*I - A) = d^(n-1) adj(lam*I - H) =
 sum B_k mu^(n-1-k) with B_k = sum_(j<=k) c_(k-j) A^j (Godsil, Algebraic
 Combinatorics, 1993), so `_adjugate` reads a diagonal entry off s_j(i) and
-entry (i, j) off the walk A^j e_i.  A pair (u, v) reads three: phi(G - u)
-and phi(G - v), equal exactly when the pair is cospectral, and A_uv.  By
+entry (i, j) off the walk A^j e_i.  A cospectral pair (u, v) reads two:
+phi(G - v), which equals phi(G - u), and A_uv.  By
 Gauss's lemma the gcds of these with phi(G), and the quotients, are monic in
 Z[mu].  A polynomial scaled by d^m (m its degree, or n - 1 for an
 off-diagonal adjugate entry) becomes one in lam by dividing its coefficient
@@ -226,14 +226,14 @@ class _PairPolys:
 def _pair_polys(net: Network, u: int, v: int) -> _PairPolys | None:
     """The polynomials of a pair from one `_adjugate` call; None unless cospectral.
 
-    phi(G - u) and phi(G - v) are the diagonal entries adj_uu and adj_vv.
+    is_cospectral decides the pair from its closed-walk counts before the
+    engine runs.  phi(G - v) is the diagonal entry adj_vv, equal to adj_uu.
     """
-    net.check_pair(u, v)
-    i, j = u - 1, v - 1
-    d, phi_g, (phi_u, phi_v, a_uv) = _adjugate(net, ((i, i), (j, j), (i, j)))
-    if phi_u != phi_v:
+    if not is_cospectral(net, u, v):
         return None
-    return _PairPolys(d=d, phi_g=phi_g, phi=phi_v, a_uv=a_uv)
+    i, j = u - 1, v - 1
+    d, phi_g, (phi, a_uv) = _adjugate(net, ((j, j), (i, j)))
+    return _PairPolys(d=d, phi_g=phi_g, phi=phi, a_uv=a_uv)
 
 
 def is_latent_symmetric(net: Network, u: int, v: int) -> bool:

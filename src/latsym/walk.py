@@ -6,10 +6,12 @@ must lie in 1..n; raw state vectors are plain 0-based numpy arrays.
 
 envelope_scan evaluates its coarse grid from a phase table: one block of
 exp(-i lam_k r dt) per call, rotated per block of _PHASE_BLOCK samples, so a
-long scan makes no complex exponential per sample.
+long scan makes no complex exponential per sample, and each block's
+amplitudes are one BLAS matrix-vector product.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 import numpy as np
@@ -111,7 +113,9 @@ class PeakReport:
 
 def _refine_peak(fid, t0: float, h0: float, lo: float, hi: float) -> tuple[float, float]:
     # hill-climb with step h, then iterated parabolic steps; stops once the
-    # update falls below 1e-4 of the coarse step
+    # update falls below 1e-4 of the coarse step.  Each tau is evaluated once:
+    # after a move the climb asks again for f at the point it moved to.
+    f = cache(fid)
     t = min(max(t0, lo), hi)
     h = h0
     min_h = 1e-4 * h0
@@ -120,7 +124,7 @@ def _refine_peak(fid, t0: float, h0: float, lo: float, hi: float) -> tuple[float
             break
         tm = max(t - h, lo)
         tp = min(t + h, hi)
-        fm, f0, fp = fid(tm), fid(t), fid(tp)
+        fm, f0, fp = f(tm), f(t), f(tp)
         if fp > f0 and fp >= fm:
             t = tp
             continue
@@ -132,7 +136,7 @@ def _refine_peak(fid, t0: float, h0: float, lo: float, hi: float) -> tuple[float
             dt = 0.5 * h * (fm - fp) / denom
             t = min(max(t + dt, tm), tp)
         h *= 0.5
-    return t, fid(t)
+    return t, f(t)
 
 
 def envelope_scan(
@@ -154,9 +158,11 @@ def envelope_scan(
     _PHASE_BLOCK) has amplitude sum_k T[r, k] R[q, k] with T[r, k] =
     exp(-i lam_k r dt), built once per call, and R[q, k] = c_k exp(-i lam_k q B dt),
     built per chunk for the blocks it overlaps.  N samples thus cost
-    (B + N/B) n complex exponentials instead of N n.  Each value depends on i
-    alone, so the report does not depend on chunk_size; against the direct
-    exp(-i lam_k i dt) it differs by phase rounding of order eps*max|lam|*tau.
+    (B + N/B) n complex exponentials instead of N n.  Block q's B amplitudes
+    are one (B x n)(n) product T R[q], the same shape in every chunk, so each
+    value depends on i alone and the report does not depend on chunk_size;
+    against the direct exp(-i lam_k i dt) it differs by phase rounding of
+    order eps*max|lam|*tau.  Refinement evaluates each tau it visits once.
     tau_max/coarse_step must be finite and the sample count must fit in int64,
     else ValueError.
     """
@@ -196,9 +202,11 @@ def envelope_scan(
         rot = np.exp(np.outer(blocks * _PHASE_BLOCK * coarse_step, neg_i_lam)) * c
         amp = np.empty((len(blocks), _PHASE_BLOCK), dtype=complex)
         for j, r in enumerate(rot):
-            # elementwise product summed over k, not a matmul: BLAS would sum
-            # in a shape-dependent order and make values depend on chunk_size
-            amp[j] = (r * table).sum(axis=1)
+            # one (B x n)(n) product per block, whatever the chunk: its shape is
+            # fixed, so BLAS sums every block in the same order.  One
+            # rot @ table.T per chunk would not be: its rounding changes with
+            # the row count, and the values would depend on chunk_size.
+            np.matmul(table, r, out=amp[j])
         f = np.abs(amp.ravel()[start - q0 * _PHASE_BLOCK :][: len(idx)]) ** 2
         coarse_max = np.maximum(np.maximum.accumulate(f), carry)
         prev = np.empty_like(f)
@@ -219,17 +227,18 @@ def envelope_scan(
                 best_t, best_f = t_ref, f_ref
             pos = max(0, min(int(np.ceil(t_ref / coarse_step - 1e-9)), n_samples - 1))
             pending.append((pos, f_ref))
-        # fold refined peaks into the running max from their own position on
-        refined_floor = np.full_like(f, -np.inf)
+        # fold refined peaks into the running max from their own position on:
+        # each sits at its position, and the accumulate carries it forward
+        refined = np.full_like(f, -np.inf)
         later = []
         for pos, val in pending:
             if pos < start + len(idx):
                 p = max(pos - start, 0)
-                np.maximum(refined_floor[p:], val, out=refined_floor[p:])
+                refined[p] = max(refined[p], val)
             else:
                 later.append((pos, val))
         pending = later
-        running = np.maximum(coarse_max, np.maximum.accumulate(refined_floor))
+        running = np.maximum(coarse_max, np.maximum.accumulate(refined))
         sel = keep[(keep >= start) & (keep < start + len(idx))] - start
         for j in sel:
             envelope.append((float(taus[j]), float(f[j]), float(running[j])))
@@ -263,12 +272,12 @@ def eigenprojector_parity(
 ) -> bool:
     """Definite eigenvector parity on (u, v) for every eigenvalue cluster.
 
-    Eigenvalues closer than cluster_tol (scaled by the spectral radius) are
-    treated as one degenerate cluster and tested through their projector.
+    Eigenvalues closer than cluster_tol times the spectral radius are treated
+    as one degenerate cluster and tested through their projector.
     """
     _check_sites(sys, u, v)
     lam = sys.eigenvalues
-    scale = max(1.0, float(np.abs(lam).max())) if sys.n else 1.0
+    scale = float(np.abs(lam).max()) if sys.n else 1.0
     tol = cluster_tol * scale
     start = 0
     for i in range(1, sys.n + 1):

@@ -9,9 +9,10 @@ import sympy
 from latsym import walk
 from latsym.network import Network
 from latsym.ninesite import SINGLET_SITES, build_ninesite
-from latsym.spectral import char_poly
+from latsym.spectral import char_poly, is_strongly_cospectral
 from latsym.walk import (
     _PHASE_BLOCK,
+    _refine_peak,
     ConvergenceError,
     antisymmetric_confinement,
     eigenprojector_parity,
@@ -272,6 +273,40 @@ def test_envelope_scan_is_chunk_invariant_across_block_edges(chunk_size):
     assert a.envelope == b.envelope
 
 
+@pytest.mark.parametrize(
+    "chunk_size", [1, _PHASE_BLOCK - 1, _PHASE_BLOCK + 1, 3 * _PHASE_BLOCK + 7]
+)
+def test_envelope_scan_is_chunk_invariant_on_a_larger_network(chunk_size):
+    # each block's amplitudes are one fixed-shape BLAS product, whatever the chunk
+    rng = random.Random(24)
+    n = 24
+    onsite = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+    edges = [(i, i + 1, Fraction(rng.randint(1, 3), rng.randint(1, 3))) for i in range(1, n)]
+    chords = range(1, n - 4, 3)
+    edges += [(i, i + 5, Fraction(rng.randint(-3, -1), rng.randint(1, 3))) for i in chords]
+    sys = eigh(Network(n, onsite, edges))
+    a = envelope_scan(sys, 1, n, 80.0, 0.02)
+    assert a.samples > 7 * _PHASE_BLOCK
+    b = envelope_scan(sys, 1, n, 80.0, 0.02, chunk_size=chunk_size)
+    assert a.best == b.best
+    assert a.peaks == b.peaks
+    assert a.envelope == b.envelope
+
+
+def test_refine_peak_evaluates_each_tau_once():
+    sys = eigh(build_ninesite())
+    asked = []
+
+    def fid(t):
+        asked.append(t)
+        return fidelity(sys, 2, 6, t)
+
+    t, f = _refine_peak(fid, 8.0, 0.02, 0.0, 20.0)
+    assert abs(t - 8.017018705952) < 1e-3
+    assert f == fidelity(sys, 2, 6, t)
+    assert len(asked) == len(set(asked))
+
+
 def test_envelope_scan_makes_no_exponential_per_sample(monkeypatch):
     # coarse curve only: refinement is stubbed out so that every trigger keeps
     # its coarse value, and the public per-tau functions must not be called
@@ -369,6 +404,17 @@ def test_eigenprojector_parity():
     assert not eigenprojector_parity(eigh(path_network(3)), 1, 2)
     twins = Network(4, [Fraction(0)] * 4, [(1, 2, Fraction(1)), (3, 4, Fraction(1))])
     assert not eigenprojector_parity(eigh(twins), 1, 3)
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 10**12), Fraction(1, 10**9), 1, 10**9])
+def test_eigenprojector_parity_agrees_with_exact_verdict_at_any_scale(scale):
+    # the cluster tolerance is relative to max|lam|: no absolute floor
+    base = build_ninesite()
+    twins = Network(4, [Fraction(0)] * 4, [(1, 2, Fraction(1)), (3, 4, Fraction(1))])
+    for net, u, v in [(base, 2, 6), (base, 2, 3), (twins, 1, 3), (path_network(3), 1, 3)]:
+        onsite = [e * scale for e in net.onsite]
+        scaled = Network(net.n, onsite, [(i, j, w * scale) for i, j, w in net.edges])
+        assert eigenprojector_parity(eigh(scaled), u, v) == is_strongly_cospectral(scaled, u, v)
 
 
 @pytest.mark.parametrize("bad", [0, 10])
