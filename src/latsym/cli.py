@@ -157,7 +157,7 @@ def _cmd_evolve(args) -> int:
 
     from .walk import eigh
 
-    if not (args.step > 0 and args.tmax >= 0):
+    if not (0 < args.step < math.inf and args.tmax >= 0):
         raise ValueError("need step > 0 and tmax >= 0")
     net = _load_network(args.network)
     net.check_vertex(args.from_site)
@@ -185,7 +185,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_envelope(args) -> int:
     from .walk import eigh, envelope_scan
 
-    if not (args.step > 0 and args.tmax > 0):
+    if not (0 < args.step < math.inf and args.tmax > 0):
         raise ValueError("need step > 0 and tmax > 0")
     net = _load_network(args.network)
     net.check_pair(args.u, args.v)

@@ -2,14 +2,16 @@
 
 `RationalPoly` and `RationalFunction` hold `fractions.Fraction` coefficients,
 but compute on an integer core of ascending lists of Python ints: one gcd
-(`_int_gcd`, a primitive PRS), exact division, the Bareiss resultant, and the
-mod-p arithmetic of the irreducibility test.  Sums, products, the reduction of
-a `RationalFunction`, `poly_gcd` and `resultant` scale their inputs to
-integers, call that core and divide by one common denominator at the end; the
-spectral layer and the irreducibility test work on it directly, so `Fraction`
-appears only at the boundary.  Division with remainder over Q (`divmod`,
-`exact_div`) has no integer counterpart; it and `is_squarefree` are kept for
-users and as test oracles, and nothing in the library calls them.
+(`_int_gcd`, a primitive PRS), exact division, the resultant (`_int_resultant`,
+a subresultant PRS), and the mod-p arithmetic of the irreducibility test.
+Sums, products, the reduction of a `RationalFunction`, `poly_gcd` and
+`resultant` scale their inputs to integers, call that core and divide by one
+common denominator at the end; the spectral layer and the irreducibility test
+work on it directly, so `Fraction` appears only at the boundary.  No library
+code path computes a determinant.  Division with remainder over Q (`divmod`,
+`exact_div`) has no integer counterpart and is kept for users.  Nothing in the
+library calls it, `det_fraction`, `poly_gcd` or `is_squarefree`; the tests use
+them as oracles, and the benchmark's tracer wraps the last three by name.
 Everything here is exact: no floats enter unless the caller evaluates at a
 float/complex point.
 """
@@ -200,8 +202,8 @@ def is_squarefree(p: RationalPoly) -> bool:
 def det_fraction(rows: list[list[Fraction]]) -> Fraction:
     """Exact determinant by Gaussian elimination over Q (destroys its copy).
 
-    The library computes determinants with `_bareiss_det`; this independent
-    path is kept as the oracle the tests compare against.
+    The library computes no determinant; this is the oracle the tests compare
+    resultants and characteristic polynomials against.
     """
     n = len(rows)
     if n == 0:
@@ -224,35 +226,6 @@ def det_fraction(rows: list[list[Fraction]]) -> Fraction:
                 for k in range(c, n):
                     row[k] -= f * prow[k]
     return det
-
-
-def _bareiss_det(a: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss).
-
-    Every interior division is exact, so the result is an exact integer.
-    """
-    n = len(a)
-    if n == 0:
-        return 1
-    a = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = next((r for r in range(c, n) if a[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        pivot = a[c][c]
-        for r in range(c + 1, n):
-            arc = a[r][c]
-            row, crow = a[r], a[c]
-            for k in range(c + 1, n):
-                row[k] = (row[k] * pivot - arc * crow[k]) // prev
-            row[c] = 0
-        prev = pivot
-    return sign * a[-1][-1]
 
 
 def _integer_coeffs(p: RationalPoly) -> tuple[list[int], int]:
@@ -349,15 +322,36 @@ def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
 
 
 def _int_resultant(p: list[int], q: list[int]) -> int:
-    """Resultant of non-zero integer polynomials: the Sylvester determinant, by Bareiss."""
-    m, n = len(p) - 1, len(q) - 1
-    if m == 0 or n == 0:
-        return p[0] ** n if m == 0 else q[0] ** m
-    size = m + n
-    pc, qc = p[::-1], q[::-1]
-    rows = [[0] * i + pc + [0] * (size - m - 1 - i) for i in range(n)]
-    rows += [[0] * i + qc + [0] * (size - n - 1 - i) for i in range(m)]
-    return _bareiss_det(rows)
+    """Resultant of non-zero integer polynomials by the subresultant PRS.
+
+    Collins; Brown & Traub; Cohen, Alg. 3.3.7.  Res(p, q) = a^deg(q) b^deg(p)
+    Res(p/a, q/b) for the contents a, b.  Each step replaces A, B by B and the
+    full pseudo-remainder lc(B)^(delta+1) A mod B, delta = deg A - deg B, which
+    g h^delta divides exactly; Res(A, B) = (-1)^(deg A deg B) Res(B, A) gives the
+    sign.  A zero remainder means a common factor; a constant B ends the sequence.
+    """
+    a, b = gcd(*p), gcd(*q)
+    s, t = 1, a ** (len(q) - 1) * b ** (len(p) - 1)
+    p, q = [x // a for x in p], [x // b for x in q]
+    if len(p) < len(q):
+        p, q, s = q, p, (-1) ** ((len(p) - 1) * (len(q) - 1))
+    g = h = 1
+    while len(q) > 1:
+        delta, low, lb = len(p) - len(q), q[:-1], q[-1]
+        if (len(p) - 1) * (len(q) - 1) % 2:
+            s = -s
+        r = p[:]
+        for _ in range(delta + 1):  # r <- lb*r - c*x^k*q cancels r's top term c x^(k+deg q)
+            c = r.pop()
+            r = [x * lb for x in r]
+            for j, y in enumerate(low, len(r) - len(low)):
+                r[j] -= c * y
+        if not _trim(r):
+            return 0
+        hd = h**delta
+        p, q = q, [x // (g * hd) for x in r]
+        g, h = lb, lb**delta * h // hd
+    return s * t * (q[0] ** (len(p) - 1) * h // h ** (len(p) - 1))
 
 
 # Polynomials mod m below are integer polynomials with coefficients in [0, m);
@@ -509,7 +503,7 @@ def _is_irreducible(poly: RationalPoly) -> bool:
 
 
 def resultant(p: RationalPoly, q: RationalPoly) -> Fraction:
-    """Resultant via the Sylvester matrix; zero iff p, q share a root."""
+    """Resultant by `_int_resultant` on the integer forms; zero iff p, q share a root."""
     m, n = p.degree, q.degree
     if m < 0 or n < 0:
         raise ValueError("resultant of the zero polynomial is undefined")

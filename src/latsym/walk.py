@@ -163,13 +163,13 @@ def envelope_scan(
     value depends on i alone and the report does not depend on chunk_size;
     against the direct exp(-i lam_k i dt) it differs by phase rounding of
     order eps*max|lam|*tau.  Refinement evaluates each tau it visits once.
-    tau_max/coarse_step must be finite and the sample count must fit in int64,
-    else ValueError.
+    coarse_step and tau_max/coarse_step must be finite and the sample count must
+    fit in int64, else ValueError.
     """
     if tau_max <= 0 or coarse_step <= 0:
         raise ValueError("tau_max and coarse_step must be positive")
-    if not np.isfinite(tau_max / coarse_step):
-        raise ValueError("tau_max/coarse_step must be finite")
+    if not (np.isfinite(coarse_step) and np.isfinite(tau_max / coarse_step)):
+        raise ValueError("coarse_step and tau_max/coarse_step must be finite")
     _check_sites(sys, u, v)
     n_samples = int(np.floor(tau_max / coarse_step + 1e-9)) + 1
     if n_samples > np.iinfo(np.int64).max:

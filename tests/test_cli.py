@@ -305,7 +305,9 @@ def test_scan_boundary_refuses_oversized_grid(emax, step, capsys):
     assert f"limit of {MAX_SCAN_POINTS}" in captured.err
 
 
-@pytest.mark.parametrize("tmax, step", [("1", "0"), ("1", "-0.1"), ("-1", "0.1"), ("nan", "0.1")])
+@pytest.mark.parametrize(
+    "tmax, step", [("1", "0"), ("1", "-0.1"), ("-1", "0.1"), ("nan", "0.1"), ("1", "inf")]
+)
 def test_evolve_refuses_invalid_grid(chain2_file, tmp_path, capsys, tmax, step):
     out = tmp_path / "probs.csv"
     code = main(
@@ -358,7 +360,15 @@ def _no_envelope_eigh(net):
 
 @pytest.mark.parametrize(
     "tmax, step",
-    [("1", "0"), ("1", "-0.1"), ("0", "0.1"), ("-1", "0.1"), ("nan", "0.1"), ("1", "nan")],
+    [
+        ("1", "0"),
+        ("1", "-0.1"),
+        ("0", "0.1"),
+        ("-1", "0.1"),
+        ("nan", "0.1"),
+        ("1", "nan"),
+        ("1", "inf"),
+    ],
 )
 def test_envelope_refuses_invalid_grid(net_file, tmp_path, capsys, monkeypatch, tmax, step):
     monkeypatch.setattr("latsym.walk.eigh", _no_envelope_eigh)

@@ -14,8 +14,8 @@ import pytest
 import sympy
 
 from latsym import polynomial
-from latsym.network import Network
-from latsym.ninesite import build_ninesite
+from latsym.network import Network, attach
+from latsym.ninesite import SINGLET_SITES, build_ninesite
 from latsym.pgst import (
     BoundaryPoint,
     boundary_scan,
@@ -273,6 +273,25 @@ def test_reduction_and_irreducibility_need_no_division_over_q(monkeypatch):
     ]
 
 
+def grown_ninesite(n, seed):
+    """Nine-site with seeded chains hung off its singlet sites, as in acceptance
+    test 03; (2, 6) stays cospectral."""
+    rng = random.Random(seed)
+    net = build_ninesite(K)
+    while net.n < n:
+        length = min(n - net.n, rng.randint(1, 3))
+        onsite = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(length)]
+        edges = [(i, i + 1, Fraction(rng.randint(1, 3), rng.randint(1, 3))) for i in range(1, length)]
+        anchor = rng.choice(sorted(SINGLET_SITES))
+        bridge = (anchor, 1, Fraction(rng.randint(1, 3), rng.randint(2, 3)))
+        net = attach(net, [anchor], Network(length, onsite, edges), [bridge])
+    return net
+
+
+def sympy_resultant(p: list[int], q: list[int]) -> int:
+    return int(sympy.resultant(sympy.Poly(p[::-1], X), sympy.Poly(q[::-1], X)))
+
+
 def test_mu_resultant_keeps_the_sign_and_scales_by_d_to_the_degree_product():
     for e in SCAN_GRID[::10]:
         pair = _pair_polys(build_ninesite(K, e), 2, 6)
@@ -280,3 +299,10 @@ def test_mu_resultant_keeps_the_sign_and_scales_by_d_to_the_degree_product():
         res_lam = sylvester_resultant(_lam_poly(p_plus, pair.d), _lam_poly(p_minus, pair.d))
         scale = pair.d ** ((len(p_plus) - 1) * (len(p_minus) - 1))
         assert pair.resultant == _int_resultant(p_plus, p_minus) == res_lam * scale
+    for n, seed in ((20, 1), (40, 2)):
+        pair = _pair_polys(grown_ninesite(n, seed), 2, 6)
+        p_plus, p_minus = pair.parity_factors
+        assert len(p_plus) > n // 2
+        assert pair.resultant == sympy_resultant(p_plus, p_minus) != 0
+        sign = (-1) ** ((len(p_plus) - 1) * (len(p_minus) - 1))
+        assert _int_resultant(p_minus, p_plus) == sign * pair.resultant

@@ -223,21 +223,42 @@ def fraction_sylvester_det(p, q):
     return det_fraction(rows)
 
 
+def skips_a_degree(p, q):
+    """Whether the Euclidean remainder sequence of p, q drops a degree by 2 or more."""
+    degrees = []
+    while not q.is_zero:
+        p, q = q, p % q
+        degrees.append(p.degree)
+    return any(a - b >= 2 for a, b in zip(degrees, degrees[1:]))
+
+
 def test_resultant_matches_fraction_sylvester_determinant():
     rng = random.Random(17)
-    checked = 0
+    checked = skipping = constant = 0
     signs = set()
-    for _ in range(200):
-        p = rand_poly(rng, rng.randint(1, 6))
-        q = rand_poly(rng, rng.randint(1, 6))
-        if rng.random() < 0.2:  # force a common factor now and then
-            common = rand_poly(rng, 1)
+    for i in range(300):
+        p, q = rand_poly(rng, rng.randint(1, 10)), rand_poly(rng, rng.randint(1, 10))
+        if i % 5 == 1:  # a constant operand, on either side
+            p, q = (p, rand_poly(rng, 0)) if i % 2 else (rand_poly(rng, 0), q)
+        elif i % 5 == 2:  # sparse: the remainder sequence may skip degrees
+            p, q = (RationalPoly([c * (rng.random() < 0.3) for c in f.coeffs[:-1]] + [f.leading])
+                    for f in (p, q))
+        elif i % 5 == 3:  # integer coefficients with a content other than 1
+            p, q = (RationalPoly([c.numerator * k for c in f.coeffs])
+                    for f, k in ((p, rng.choice([2, 6, 12])), (q, rng.choice([-3, 4, 10]))))
+        elif i % 5 == 4:  # force a common factor
+            common = rand_poly(rng, rng.randint(1, 2))
             p, q = p * common, q * common
-        if p.degree < 1 or q.degree < 1:
+        if p.is_zero or q.is_zero:
             continue
         res = resultant(p, q)
         assert res == fraction_sylvester_det(p, q)
+        assert resultant(q, p) == (-1) ** (p.degree * q.degree) * res
         checked += 1
+        skipping += skips_a_degree(p, q)
+        constant += min(p.degree, q.degree) == 0
         signs.add((res > 0) - (res < 0))
-    assert checked >= 150
+    assert resultant(RationalPoly([3]), RationalPoly([Fraction(-1, 2)])) == 1
+    assert resultant(RationalPoly([Fraction(-2, 3)]), RationalPoly([1, 0, 5])) == Fraction(4, 9)
+    assert checked >= 280 and skipping >= 60 and constant >= 50
     assert signs == {-1, 0, 1}

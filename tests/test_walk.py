@@ -355,7 +355,8 @@ def test_envelope_scan_validation():
 
 
 @pytest.mark.parametrize(
-    "tau_max, step", [(math.nan, 0.1), (1.0, math.nan), (math.inf, 0.1), (1e300, 1e-300)]
+    "tau_max, step",
+    [(math.nan, 0.1), (1.0, math.nan), (math.inf, 0.1), (1e300, 1e-300), (1.0, math.inf)],
 )
 def test_envelope_scan_refuses_non_finite_sample_count(tau_max, step):
     sys = eigh(path_network(2))
