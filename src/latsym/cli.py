@@ -34,10 +34,14 @@ from .spectral import (
 # resultant.  A larger grid is refused before any work rather than left running.
 MAX_SCAN_POINTS = 10_000
 
-# Largest `evolve` grid, in rows times sites.  The probabilities are held in
-# memory as complex amplitudes before they are written, so a larger grid is
-# refused before any array is built.
+# Largest `evolve` grid, in rows times sites.  Rows are computed and written
+# in blocks, so memory does not grow with the grid; the cap bounds the CSV
+# (about 20 bytes per value, some 0.2 GB at the cap) and the run time, and a
+# larger grid is refused before any work.
 MAX_EVOLVE_VALUES = 10_000_000
+
+# Rows per block that `evolve` computes and writes at a time.
+_EVOLVE_BLOCK_ROWS = 4096
 
 # Largest `envelope` grid, in samples.  On the nine-site network the scan takes
 # about 16 s for this many samples; a larger grid is refused before eigh runs.
@@ -168,15 +172,20 @@ def _cmd_evolve(args) -> int:
             f"{MAX_EVOLVE_VALUES} values"
         )
     sys_ = eigh(net)
-    taus = np.arange(n_rows) * args.step
     coef = sys_.eigenvectors[args.from_site - 1]
-    amps = (np.exp(-1j * np.outer(taus, sys_.eigenvalues)) * coef) @ sys_.eigenvectors.T
-    probs = np.abs(amps) ** 2
+
+    def rows():
+        for start in range(0, n_rows, _EVOLVE_BLOCK_ROWS):
+            taus = np.arange(start, min(start + _EVOLVE_BLOCK_ROWS, n_rows)) * args.step
+            amps = (np.exp(-1j * np.outer(taus, sys_.eigenvalues)) * coef) @ sys_.eigenvectors.T
+            probs = np.abs(amps) ** 2
+            yield from ((t, *row) for t, row in zip(taus.tolist(), probs.tolist()))
+
     _write_csv(
         args.out,
         ["tau", *(f"p{i}" for i in range(1, net.n + 1))],
         ["%.17g"] * (net.n + 1),
-        ((t, *row.tolist()) for t, row in zip(taus, probs)),
+        rows(),
     )
     print(f"wrote {n_rows} rows to {args.out}")
     return 0

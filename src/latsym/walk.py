@@ -7,7 +7,9 @@ must lie in 1..n; raw state vectors are plain 0-based numpy arrays.
 envelope_scan evaluates its coarse grid from a phase table: one block of
 exp(-i lam_k r dt) per call, rotated per block of _PHASE_BLOCK samples, so a
 long scan makes no complex exponential per sample, and each block's
-amplitudes are one BLAS matrix-vector product.
+amplitudes are one BLAS matrix-vector product.  It refines a peak by a climb
+in coarse steps and Newton's method on the analytic F' and F'', and reads the
+running maximum only at the samples its envelope keeps.
 """
 
 from dataclasses import dataclass
@@ -67,8 +69,15 @@ def _check_sites(sys: EigenSystem, *sites: int) -> None:
             raise ValueError(f"site {site} out of range 1..{sys.n}")
 
 
+def _check_taus(taus) -> None:
+    # exp(-i lam tau) of a non-finite tau is NaN, which would pass as a result
+    if not np.isfinite(taus).all():
+        raise ValueError("tau must be finite")
+
+
 def evolve(sys: EigenSystem, tau: float, psi0: np.ndarray) -> np.ndarray:
     """psi(tau) = Q exp(-i Lambda tau) Q^T psi0."""
+    _check_taus(tau)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (sys.n,):
         raise ValueError(f"state must have shape ({sys.n},)")
@@ -77,6 +86,7 @@ def evolve(sys: EigenSystem, tau: float, psi0: np.ndarray) -> np.ndarray:
 
 
 def evolution_operator(sys: EigenSystem, tau: float) -> np.ndarray:
+    _check_taus(tau)
     phases = np.exp(-1j * sys.eigenvalues * tau)
     return (sys.eigenvectors * phases) @ sys.eigenvectors.T
 
@@ -84,6 +94,7 @@ def evolution_operator(sys: EigenSystem, tau: float) -> np.ndarray:
 def fidelity(sys: EigenSystem, u: int, v: int, tau: float) -> float:
     """|U_{u,v}(tau)|^2 — probability of finding at u a walker launched at v."""
     _check_sites(sys, u, v)
+    _check_taus(tau)
     c = sys.eigenvectors[u - 1] * sys.eigenvectors[v - 1]
     amp = np.sum(c * np.exp(-1j * sys.eigenvalues * tau))
     return float(abs(amp) ** 2)
@@ -91,6 +102,7 @@ def fidelity(sys: EigenSystem, u: int, v: int, tau: float) -> float:
 
 def fidelity_curve(sys: EigenSystem, u: int, v: int, taus: np.ndarray) -> np.ndarray:
     _check_sites(sys, u, v)
+    _check_taus(taus)
     c = sys.eigenvectors[u - 1] * sys.eigenvectors[v - 1]
     amp = np.exp(-1j * np.outer(taus, sys.eigenvalues)) @ c
     return np.abs(amp) ** 2
@@ -111,31 +123,41 @@ class PeakReport:
     best: tuple[float, float]
 
 
-def _refine_peak(fid, t0: float, h0: float, lo: float, hi: float) -> tuple[float, float]:
-    # hill-climb with step h, then iterated parabolic steps; stops once the
-    # update falls below 1e-4 of the coarse step.  Each tau is evaluated once:
-    # after a move the climb asks again for f at the point it moved to.
+def _refine_peak(fid, dfid, t0: float, h0: float, lo: float, hi: float) -> tuple[float, float]:
+    # fid(t) is F, dfid(t) is (F', F'').  Climb from t0 in steps of h0 until
+    # neither neighbour is higher: F then peaks inside [t - h0, t + h0].  A
+    # Newton step on F' is taken while F'' < 0 and it stays in that bracket,
+    # which shrinks to the last point on each side of the peak; otherwise the
+    # bracket is bisected.  A step below 64 ulps of t + h0 ends the search:
+    # the rounding of the phases lam*t leaves F' no more precise than that.
+    # Climb points are t0 + k*h0, so a point visited again is a cache hit.
     f = cache(fid)
-    t = min(max(t0, lo), hi)
-    h = h0
-    min_h = 1e-4 * h0
-    for _ in range(5000):
-        if h < min_h:
-            break
-        tm = max(t - h, lo)
-        tp = min(t + h, hi)
-        fm, f0, fp = f(tm), f(t), f(tp)
+    at = lambda k: min(max(t0 + k * h0, lo), hi)
+    k = 0
+    while True:
+        fm, f0, fp = f(at(k - 1)), f(at(k)), f(at(k + 1))
         if fp > f0 and fp >= fm:
-            t = tp
-            continue
-        if fm > f0:
-            t = tm
-            continue
-        denom = fm - 2.0 * f0 + fp
-        if denom < 0.0:
-            dt = 0.5 * h * (fm - fp) / denom
-            t = min(max(t + dt, tm), tp)
-        h *= 0.5
+            k += 1
+        elif fm > f0:
+            k -= 1
+        else:
+            break
+    a, t, b = at(k - 1), at(k), at(k + 1)
+    tol = 64 * np.finfo(float).eps * (abs(t) + h0)
+    while True:
+        d1, d2 = dfid(t)
+        if d1 > 0:
+            a = t
+        elif d1 < 0:
+            b = t
+        else:
+            break
+        dx = -d1 / d2 if d2 < 0 else np.inf
+        if not a <= t + dx <= b:
+            dx = 0.5 * (a + b) - t
+        if abs(dx) <= tol:
+            break
+        t += dx
     return t, f(t)
 
 
@@ -150,9 +172,12 @@ def envelope_scan(
     """Coarse fidelity scan with refinement of every new running-max record.
 
     A coarse sample beating the running maximum (which includes all refined
-    values so far) triggers local parabolic refinement; the envelope output is
-    the running maximum on a logarithmically thinned grid of about
-    _ENVELOPE_POINTS samples.
+    values so far) triggers refinement: a climb in steps of coarse_step to a
+    local maximum, then safeguarded Newton on F' with F' and F'' in closed
+    form, from one exp and one (3 x n)(n) product per tau.  The refined F is
+    abs(c @ exp(-i lam tau))**2 with c_k = Q[u, k] Q[v, k].  The envelope
+    output is the running maximum on a logarithmically thinned grid of about
+    _ENVELOPE_POINTS samples, evaluated only there.
 
     The coarse curve comes from a phase table.  Sample i = q*B + r (B =
     _PHASE_BLOCK) has amplitude sum_k T[r, k] R[q, k] with T[r, k] =
@@ -162,7 +187,7 @@ def envelope_scan(
     are one (B x n)(n) product T R[q], the same shape in every chunk, so each
     value depends on i alone and the report does not depend on chunk_size;
     against the direct exp(-i lam_k i dt) it differs by phase rounding of
-    order eps*max|lam|*tau.  Refinement evaluates each tau it visits once.
+    order eps*max|lam|*tau.
     coarse_step and tau_max/coarse_step must be finite and the sample count must
     fit in int64, else ValueError.
     """
@@ -189,16 +214,23 @@ def envelope_scan(
     c = sys.eigenvectors[u - 1] * sys.eigenvectors[v - 1]
     table = np.exp(np.outer(np.arange(_PHASE_BLOCK) * coarse_step, neg_i_lam))
     fid = lambda t: float(abs(c @ np.exp(neg_i_lam * t)) ** 2)
+    # rows of a, a' and a'' at t: F' = 2 Re(conj(a) a'), F'' = 2 (|a'|^2 + Re(conj(a) a''))
+    rows = np.array([c, neg_i_lam * c, neg_i_lam**2 * c])
+
+    def dfid(t):
+        a, da, dda = (rows @ np.exp(neg_i_lam * t)).tolist()
+        ac = a.conjugate()
+        return 2.0 * (ac * da).real, 2.0 * (abs(da) ** 2 + (ac * dda).real)
+
     peaks: list[tuple[float, float]] = []
     envelope: list[tuple[float, float, float]] = []
     best_t, best_f = 0.0, -np.inf
     carry = -np.inf  # running max over all samples at earlier times
-    pending: list[tuple[int, float]] = []  # refined values placed at their own time
+    pending: list[tuple[int, float]] = []  # refined values not yet placed at their own time
     for start in range(0, n_samples, chunk_size):
-        idx = np.arange(start, min(start + chunk_size, n_samples))
-        taus = idx * coarse_step
+        stop = min(start + chunk_size, n_samples)
         q0 = start // _PHASE_BLOCK
-        blocks = np.arange(q0, idx[-1] // _PHASE_BLOCK + 1)
+        blocks = np.arange(q0, (stop - 1) // _PHASE_BLOCK + 1)
         rot = np.exp(np.outer(blocks * _PHASE_BLOCK * coarse_step, neg_i_lam)) * c
         amp = np.empty((len(blocks), _PHASE_BLOCK), dtype=complex)
         for j, r in enumerate(rot):
@@ -207,17 +239,20 @@ def envelope_scan(
             # rot @ table.T per chunk would not be: its rounding changes with
             # the row count, and the values would depend on chunk_size.
             np.matmul(table, r, out=amp[j])
-        f = np.abs(amp.ravel()[start - q0 * _PHASE_BLOCK :][: len(idx)]) ** 2
-        coarse_max = np.maximum(np.maximum.accumulate(f), carry)
-        prev = np.empty_like(f)
-        prev[0] = carry
-        prev[1:] = coarse_max[:-1]
-        for i in np.flatnonzero(f > prev):
-            if f[i] <= best_f:
+        f = np.abs(amp.ravel()[start - q0 * _PHASE_BLOCK :][: stop - start]) ** 2
+        acc = np.maximum.accumulate(f)
+        # a coarse record triggers refinement unless best_f already reaches it;
+        # best_f >= carry, so a record at or below carry is skipped as well
+        records = np.flatnonzero(f[1:] > acc[:-1]) + 1
+        if f[0] > carry:
+            records = np.concatenate(([0], records))
+        for i, f_i in zip(records.tolist(), f[records].tolist()):
+            if f_i <= best_f:
                 continue
-            t_ref, f_ref = _refine_peak(fid, taus[i], coarse_step, 0.0, tau_max)
-            if f_ref < f[i]:  # refinement may not undercut its trigger
-                t_ref, f_ref = float(taus[i]), float(f[i])
+            t_i = (start + i) * coarse_step
+            t_ref, f_ref = _refine_peak(fid, dfid, t_i, coarse_step, 0.0, tau_max)
+            if f_ref < f_i:  # refinement may not undercut its trigger
+                t_ref, f_ref = t_i, f_i
             if peaks and abs(t_ref - peaks[-1][0]) < coarse_step:
                 if f_ref > peaks[-1][1]:
                     peaks[-1] = (t_ref, f_ref)
@@ -227,22 +262,19 @@ def envelope_scan(
                 best_t, best_f = t_ref, f_ref
             pos = max(0, min(int(np.ceil(t_ref / coarse_step - 1e-9)), n_samples - 1))
             pending.append((pos, f_ref))
-        # fold refined peaks into the running max from their own position on:
-        # each sits at its position, and the accumulate carries it forward
-        refined = np.full_like(f, -np.inf)
-        later = []
-        for pos, val in pending:
-            if pos < start + len(idx):
-                p = max(pos - start, 0)
-                refined[p] = max(refined[p], val)
-            else:
-                later.append((pos, val))
-        pending = later
-        running = np.maximum(coarse_max, np.maximum.accumulate(refined))
-        sel = keep[(keep >= start) & (keep < start + len(idx))] - start
-        for j in sel:
-            envelope.append((float(taus[j]), float(f[j]), float(running[j])))
-        carry = float(running[-1])
+        # the running max, read at the kept samples only: the coarse max, the
+        # carry, and each refined value from its own position on
+        sel = keep[np.searchsorted(keep, start) : np.searchsorted(keep, stop)]
+        running = np.maximum(acc[sel - start], carry)
+        placed = [(pos, val) for pos, val in pending if pos < stop]
+        pending = [(pos, val) for pos, val in pending if pos >= stop]
+        for pos, val in placed:
+            later = running[np.searchsorted(sel, pos) :]
+            np.maximum(later, val, out=later)
+        envelope.extend(
+            zip((sel * coarse_step).tolist(), f[sel - start].tolist(), running.tolist())
+        )
+        carry = max(float(acc[-1]), carry, *(val for _, val in placed))
     return PeakReport(
         samples=n_samples,
         step=coarse_step,
@@ -255,12 +287,21 @@ def envelope_scan(
 def antisymmetric_confinement(
     sys: EigenSystem, u: int, v: int, singlets: Iterable[int], tau_grid: np.ndarray
 ) -> float:
-    """Max |psi_w(tau)| over singlet sites w for the input (e_u - e_v)/sqrt(2)."""
+    """Max |psi_w(tau)| over singlet sites w for the input (e_u - e_v)/sqrt(2).
+
+    The singlets must not include u or v, whose amplitudes the input sets, and
+    the grid must be non-empty and finite, else ValueError.
+    """
     sites = sorted(int(s) for s in singlets)
     if not sites:
         raise ValueError("no singlet sites supplied")
     _check_sites(sys, u, v, *sites)
+    if u in sites or v in sites:
+        raise ValueError(f"singlet sites must not include the pair ({u}, {v})")
     taus = np.asarray(tau_grid, dtype=float)
+    if not taus.size:
+        raise ValueError("tau grid is empty")
+    _check_taus(taus)
     coef = (sys.eigenvectors[u - 1] - sys.eigenvectors[v - 1]) / np.sqrt(2.0)
     phases = np.exp(-1j * np.outer(taus, sys.eigenvalues))
     amps = (phases * coef) @ sys.eigenvectors[[s - 1 for s in sites]].T

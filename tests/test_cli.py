@@ -354,6 +354,53 @@ def test_evolve_cap_counts_rows_times_sites(chain2_file, tmp_path, capsys, monke
     assert "grid has 4 rows of 2 sites, more than the limit of 6 values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_evolve_rows_across_a_block_edge(net_file, tmp_path, capsys, extra):
+    import numpy as np
+
+    from latsym.walk import eigh, evolve
+
+    rows = cli._EVOLVE_BLOCK_ROWS + extra
+    out = tmp_path / "probs.csv"
+    argv = ["evolve", net_file, "--from", "2", "--tmax", repr((rows - 1) * 0.5), "--step", "0.5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {rows} rows to {out}\n"
+    lines = out.read_text().splitlines()
+    assert lines[0] == "tau," + ",".join(f"p{i}" for i in range(1, 10))
+    table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    taus = np.arange(rows) * 0.5
+    assert table.shape == (rows, 10)
+    assert np.array_equal(table[:, 0], taus)
+    # against one evolve per row; both round the phases by eps * max|lam| * tau
+    sys_ = eigh(build_ninesite())
+    ref = np.array([np.abs(evolve(sys_, t, np.eye(9)[1])) ** 2 for t in taus])
+    lam_max = np.abs(sys_.eigenvalues).max()
+    bound = 64 * np.finfo(float).eps * (1 + taus * lam_max)
+    assert (np.abs(table[:, 1:] - ref).max(axis=1) <= bound).all()
+
+
+def test_evolve_memory_does_not_grow_with_the_grid(net_file, tmp_path, capsys):
+    # numpy and the walk module are imported before tracing starts, as the
+    # handler's imports are by then in any process that ran it before
+    import tracemalloc
+
+    import numpy  # noqa: F401
+    import latsym.walk  # noqa: F401
+
+    rows = 8 * cli._EVOLVE_BLOCK_ROWS
+    out = str(tmp_path / "probs.csv")
+    argv = ["evolve", net_file, "--from", "2", "--tmax", repr((rows - 1) * 0.5), "--step", "0.5"]
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == f"wrote {rows} rows to {out}\n"
+    # holding the whole grid at once took about 300 bytes per row, 10 MB here
+    assert peak < 4e6
+
+
 def _no_envelope_eigh(net):
     raise AssertionError("envelope diagonalized H for a grid it should refuse")
 

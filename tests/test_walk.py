@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -273,18 +274,23 @@ def test_envelope_scan_is_chunk_invariant_across_block_edges(chunk_size):
     assert a.envelope == b.envelope
 
 
-@pytest.mark.parametrize(
-    "chunk_size", [1, _PHASE_BLOCK - 1, _PHASE_BLOCK + 1, 3 * _PHASE_BLOCK + 7]
-)
-def test_envelope_scan_is_chunk_invariant_on_a_larger_network(chunk_size):
-    # each block's amplitudes are one fixed-shape BLAS product, whatever the chunk
+def seeded_24_site_network():
     rng = random.Random(24)
     n = 24
     onsite = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
     edges = [(i, i + 1, Fraction(rng.randint(1, 3), rng.randint(1, 3))) for i in range(1, n)]
     chords = range(1, n - 4, 3)
     edges += [(i, i + 5, Fraction(rng.randint(-3, -1), rng.randint(1, 3))) for i in chords]
-    sys = eigh(Network(n, onsite, edges))
+    return Network(n, onsite, edges)
+
+
+@pytest.mark.parametrize(
+    "chunk_size", [1, _PHASE_BLOCK - 1, _PHASE_BLOCK + 1, 3 * _PHASE_BLOCK + 7]
+)
+def test_envelope_scan_is_chunk_invariant_on_a_larger_network(chunk_size):
+    # each block's amplitudes are one fixed-shape BLAS product, whatever the chunk
+    n = 24
+    sys = eigh(seeded_24_site_network())
     a = envelope_scan(sys, 1, n, 80.0, 0.02)
     assert a.samples > 7 * _PHASE_BLOCK
     b = envelope_scan(sys, 1, n, 80.0, 0.02, chunk_size=chunk_size)
@@ -293,18 +299,136 @@ def test_envelope_scan_is_chunk_invariant_on_a_larger_network(chunk_size):
     assert a.envelope == b.envelope
 
 
-def test_refine_peak_evaluates_each_tau_once():
+def hill_climb_oracle(fid, t0, h0, lo, hi):
+    # the refinement envelope_scan used before Newton on F': a climb with step
+    # h, then iterated parabolic steps, until h falls below 1e-4 of h0
+    f = functools.cache(fid)
+    t = min(max(t0, lo), hi)
+    h = h0
+    min_h = 1e-4 * h0
+    for _ in range(5000):
+        if h < min_h:
+            break
+        tm = max(t - h, lo)
+        tp = min(t + h, hi)
+        fm, f0, fp = f(tm), f(t), f(tp)
+        if fp > f0 and fp >= fm:
+            t = tp
+            continue
+        if fm > f0:
+            t = tm
+            continue
+        denom = fm - 2.0 * f0 + fp
+        if denom < 0.0:
+            dt = 0.5 * h * (fm - fp) / denom
+            t = min(max(t + dt, tm), tp)
+        h *= 0.5
+    return t, f(t)
+
+
+# (network, u, v, tau_max, coarse_step) of the refinement checks
+REFINEMENT_SCANS = {
+    "ninesite-20": (build_ninesite, 2, 6, 20.0, 0.02),
+    "ninesite-2e5": (build_ninesite, 2, 6, 2.0e5, 0.02),
+    "seeded-24": (seeded_24_site_network, 1, 24, 2000.0, 0.02),
+}
+
+
+@functools.cache
+def refinement_scan(name):
+    """(eigensystem, report, per-trigger (t0, t, F, F evaluations, (F', F'') evaluations))."""
+    build, u, v, tau_max, step = REFINEMENT_SCANS[name]
+    sys = eigh(build())
+    calls = []
+    refine = walk._refine_peak
+
+    def counted(fid, dfid, t0, h0, lo, hi):
+        asked, asked_d = [], []
+        t, f = refine(
+            lambda t: asked.append(t) or fid(t),
+            lambda t: asked_d.append(t) or dfid(t),
+            t0, h0, lo, hi,
+        )
+        calls.append((t0, t, f, asked, asked_d))
+        return t, f
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walk, "_refine_peak", counted)
+        report = envelope_scan(sys, u, v, tau_max, step)
+    return sys, report, calls
+
+
+@pytest.mark.parametrize("name", REFINEMENT_SCANS)
+def test_refined_peaks_match_the_hill_climb_oracle(name, monkeypatch):
+    build, u, v, tau_max, step = REFINEMENT_SCANS[name]
+    sys, report, _ = refinement_scan(name)
+    oracle_refine = lambda fid, dfid, t0, h0, lo, hi: hill_climb_oracle(fid, t0, h0, lo, hi)
+    monkeypatch.setattr(walk, "_refine_peak", oracle_refine)
+    oracle = envelope_scan(sys, u, v, tau_max, step)
+    assert len(report.peaks) == len(oracle.peaks) > 1
+    for (t, f), (t_ref, f_ref) in zip(report.peaks, oracle.peaks):
+        assert abs(t - t_ref) <= 1e-4 * step
+        assert f >= f_ref - 1e-12
+    assert abs(report.best[0] - oracle.best[0]) <= 1e-4 * step
+
+
+@pytest.mark.parametrize("name", REFINEMENT_SCANS)
+def test_refined_peaks_are_stationary_maxima(name):
+    # Newton stops within 64 ulps of t + step of the root of F'; F' and F''
+    # here come from a separate sum over the eigenbasis
+    _, u, v, tau_max, step = REFINEMENT_SCANS[name]
+    sys, report, _ = refinement_scan(name)
+    lam = sys.eigenvalues
+    c = sys.eigenvectors[u - 1] * sys.eigenvectors[v - 1]
+    eps = np.finfo(float).eps
+    interior = [(t, f) for t, f in report.peaks if step < t < tau_max - step]
+    assert interior
+    for t, f in interior:
+        terms = c * np.exp(-1j * lam * t)
+        a, da, dda = np.sum(terms), np.sum(-1j * lam * terms), np.sum(-(lam**2) * terms)
+        d1 = 2 * (a.conjugate() * da).real
+        d2 = 2 * (abs(da) ** 2 + (a.conjugate() * dda).real)
+        assert d2 < 0
+        assert abs(d1 / d2) <= 128 * eps * (t + step)
+        delta = 1e-2 * step
+        assert fidelity(sys, u, v, t - delta) <= f >= fidelity(sys, u, v, t + delta)
+
+
+@pytest.mark.parametrize("name", REFINEMENT_SCANS)
+def test_refinement_evaluations_stay_within_the_climb_moves(name):
+    # the climb makes one F evaluation per move after its first three points;
+    # Newton then needs a few (F', F'') evaluations and one F at its end
+    _, _, _, _, step = REFINEMENT_SCANS[name]
+    _, _, calls = refinement_scan(name)
+    assert calls
+    for t0, t, f, asked, asked_d in calls:
+        moves = round(abs(t - t0) / step) + 1
+        assert len(asked) == len(set(asked)) <= moves + 4
+        assert len(asked_d) == len(set(asked_d)) <= 8
+
+
+def test_refine_peak_finds_the_first_principal_peak():
+    # direct call: fid and dfid from fidelity's formula, each tau asked once
     sys = eigh(build_ninesite())
-    asked = []
+    lam = sys.eigenvalues
+    c = sys.eigenvectors[1] * sys.eigenvectors[5]
+    asked, asked_d = [], []
 
     def fid(t):
         asked.append(t)
         return fidelity(sys, 2, 6, t)
 
-    t, f = _refine_peak(fid, 8.0, 0.02, 0.0, 20.0)
-    assert abs(t - 8.017018705952) < 1e-3
+    def dfid(t):
+        asked_d.append(t)
+        terms = c * np.exp(-1j * lam * t)
+        a, da, dda = np.sum(terms), np.sum(-1j * lam * terms), np.sum(-(lam**2) * terms)
+        return 2 * (a.conjugate() * da).real, 2 * (abs(da) ** 2 + (a.conjugate() * dda).real)
+
+    t, f = _refine_peak(fid, dfid, 8.0, 0.02, 0.0, 20.0)
+    assert abs(t - 8.017018706487) < 1e-9
     assert f == fidelity(sys, 2, 6, t)
-    assert len(asked) == len(set(asked))
+    assert len(asked) == len(set(asked)) <= 4 + round(abs(t - 8.0) / 0.02)
+    assert len(asked_d) == len(set(asked_d)) <= 8
 
 
 def test_envelope_scan_makes_no_exponential_per_sample(monkeypatch):
@@ -324,7 +448,7 @@ def test_envelope_scan_makes_no_exponential_per_sample(monkeypatch):
     monkeypatch.setattr(np, "exp", counting_exp)
     monkeypatch.setattr(walk, "fidelity", refuse)
     monkeypatch.setattr(walk, "fidelity_curve", refuse)
-    monkeypatch.setattr(walk, "_refine_peak", lambda fid, t0, h0, lo, hi: (t0, -np.inf))
+    monkeypatch.setattr(walk, "_refine_peak", lambda fid, dfid, t0, h0, lo, hi: (t0, -np.inf))
     report = envelope_scan(sys, 2, 6, 50.0, 0.02)
     blocks = math.ceil(report.samples / _PHASE_BLOCK)
     assert sum(counted) == (_PHASE_BLOCK + blocks) * sys.n
@@ -397,6 +521,33 @@ def test_antisymmetric_confinement_needs_sites():
     sys = eigh(build_ninesite())
     with pytest.raises(ValueError):
         antisymmetric_confinement(sys, 2, 6, [], np.array([0.0]))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda sys: fidelity(sys, 2, 6, math.nan), "tau must be finite"),
+        (lambda sys: fidelity_curve(sys, 2, 6, [0.0, math.inf]), "tau must be finite"),
+        (lambda sys: evolve(sys, -math.inf, np.eye(9)[1]), "tau must be finite"),
+        (lambda sys: evolution_operator(sys, math.inf), "tau must be finite"),
+        (
+            lambda sys: antisymmetric_confinement(sys, 2, 6, SINGLET_SITES, [1.0, math.nan]),
+            "tau must be finite",
+        ),
+        (lambda sys: antisymmetric_confinement(sys, 2, 6, SINGLET_SITES, []), "grid is empty"),
+        (lambda sys: antisymmetric_confinement(sys, 2, 6, [2], [1.0]), "must not include"),
+        (lambda sys: antisymmetric_confinement(sys, 2, 6, [4, 6], [1.0]), "must not include"),
+    ],
+    ids=[
+        "fidelity", "fidelity_curve", "evolve", "evolution_operator", "confinement-tau",
+        "confinement-empty-grid", "confinement-singlet-u", "confinement-singlet-v",
+    ],
+)
+def test_walk_functions_refuse_non_finite_tau_and_bad_confinement_input(call, match):
+    # each would otherwise return NaN, a leak through u or v (0.51 for
+    # singlets [2] on (2, 6)), or numpy's zero-size reduction error
+    with pytest.raises(ValueError, match=match):
+        call(eigh(build_ninesite()))
 
 
 def test_eigenprojector_parity():
