@@ -91,6 +91,8 @@ def analyze_intensities(
     for site in (u, v):
         if not 1 <= site <= n:
             raise ValueError(f"site {site} out of range 1..{n}")
+    if u == v:
+        raise ValueError("pair must consist of two distinct sites")
     total = sum(x - background for x in intensities)
     if total <= 0:
         raise ValueError("all intensities at or below background")

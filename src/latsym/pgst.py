@@ -35,8 +35,8 @@ def parity_decompose(net: Network, u: int, v: int) -> ParityDecomposition:
     """Split char_poly into p_plus * p_minus * p_zero for a strongly cospectral pair.
 
     Parity factors are the numerators of a(lam) +/- b(lam) - lam after full
-    cancellation, normalized monic with the original leading sign recorded;
-    p_zero is recovered by exact division and any remainder aborts.
+    cancellation, normalized monic; p_zero is recovered by exact division and
+    any remainder aborts.
     """
     pair = _pair_polys(net, u, v)
     if pair is None:
@@ -89,8 +89,6 @@ class PGSTCertificate:
     p_plus: Optional[RationalPoly] = None
     p_minus: Optional[RationalPoly] = None
     p_zero: Optional[RationalPoly] = None
-    plus_sign: Optional[int] = None
-    minus_sign: Optional[int] = None
     plus_irreducible: Optional[bool] = None
     minus_irreducible: Optional[bool] = None
     trace_ratio_plus: Optional[Fraction] = None
@@ -105,7 +103,7 @@ class PGSTCertificate:
 
     def report_text(self) -> str:
         """One `name: value` line per field, with the derived latent_symmetric
-        after swap_automorphism; the signs are left out, notes when empty."""
+        after swap_automorphism; notes is left out when empty."""
 
         def show(x):
             if x is None:
@@ -116,7 +114,7 @@ class PGSTCertificate:
 
         lines = [f"pair: ({self.u}, {self.v})"]
         for name, x in self._values():
-            if name in ("plus_sign", "minus_sign") or (name == "notes" and not x):
+            if name == "notes" and not x:
                 continue
             lines.append(f"{name}: {show(x)}")
             if name == "swap_automorphism":
@@ -155,7 +153,6 @@ def pgst_certificate(net: Network, u: int, v: int) -> PGSTCertificate:
         return cert
 
     cert.p_plus, cert.p_minus, cert.p_zero = dec.p_plus, dec.p_minus, dec.p_zero
-    cert.plus_sign, cert.minus_sign = dec.plus_sign, dec.minus_sign
     cert.plus_irreducible = is_irreducible(dec.p_plus)
     cert.minus_irreducible = is_irreducible(dec.p_minus)
     r_plus, r_minus, distinct = trace_ratios(dec.p_plus, dec.p_minus)
@@ -195,8 +192,6 @@ def pgst_certificate(net: Network, u: int, v: int) -> PGSTCertificate:
 class BoundaryPoint:
     potential: Fraction
     strongly_cospectral: bool
-    squarefree: bool  # of the reduction polynomial: always not parity_common_factor
-    parity_common_factor: bool
     resultant_sign: int
     min_root_distance: float
 
@@ -300,16 +295,13 @@ def boundary_scan(
             raise PGSTError(f"pair ({u}, {v}) is not cospectral at E = {e_val}")
         p_plus, p_minus = pair.parity_factors
         res = pair.resultant
-        common = res == 0
         sign = 0 if res == 0 else (1 if res > 0 else -1)
         degrees.append((len(p_plus) - 1, len(p_minus) - 1))
         dist = _min_root_distance(p_plus, p_minus, pair.d)
         points.append(
             BoundaryPoint(
                 potential=e_val,
-                strongly_cospectral=not common,
-                squarefree=not common,
-                parity_common_factor=common,
+                strongly_cospectral=res != 0,
                 resultant_sign=sign,
                 min_root_distance=dist,
             )

@@ -130,6 +130,8 @@ def total_unitary(
             raise ValueError(f"site {site} out of range 1..{n}")
     if u == v:
         raise ValueError("beam splitter needs two distinct sites")
+    if not np.isfinite(phase):
+        raise ValueError("phase must be finite")
     bs = np.eye(n, dtype=complex)
     block = beam_splitter_unitary()
     bs[u - 1, u - 1] = block[0, 0]

@@ -8,10 +8,15 @@ Sums, products, the reduction of a `RationalFunction`, `poly_gcd` and
 `resultant` scale their inputs to integers, call that core and divide by one
 common denominator at the end; the spectral layer and the irreducibility test
 work on it directly, so `Fraction` appears only at the boundary.  No library
-code path computes a determinant.  Division with remainder over Q (`divmod`,
-`exact_div`) has no integer counterpart and is kept for users.  Nothing in the
-library calls it, `det_fraction`, `poly_gcd` or `is_squarefree`; the tests use
-them as oracles, and the benchmark's tracer wraps the last three by name.
+code path computes a determinant or divides with remainder over Q.
+
+Some public names have no caller in the library; each stays for a reason:
+- `det_fraction`, `poly_gcd` and `is_squarefree`: the benchmark's tracer
+  (`perfbench/tracing.TRACED`) wraps them by name, which
+  `tests/test_traced_names.py` pins, and the tests use them as oracles.
+- `RationalFunction` sums, differences and products: they are the test oracle
+  for `spectral.reduction_charpoly` and for the sign of the parity factors.
+
 Everything here is exact: no floats enter unless the caller evaluates at a
 float/complex point.
 """
@@ -107,38 +112,6 @@ class RationalPoly:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other: "RationalPoly"):
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dv = other.coeffs
-        dd = len(dv) - 1
-        lead = dv[-1]
-        if len(rem) - 1 < dd:
-            return RationalPoly(), RationalPoly(rem)
-        quo = [Fraction(0)] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c:
-                q = c / lead
-                quo[i - dd] = q
-                for j in range(dd + 1):
-                    rem[i - dd + j] -= q * dv[j]
-        return RationalPoly(quo), RationalPoly(rem)
-
-    def __floordiv__(self, other: "RationalPoly") -> "RationalPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "RationalPoly") -> "RationalPoly":
-        return divmod(self, other)[1]
-
-    def exact_div(self, other: "RationalPoly") -> "RationalPoly":
-        """Division that must leave no remainder; raises otherwise."""
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ValueError("exact polynomial division left a remainder")
-        return q
-
     def monic(self) -> "RationalPoly":
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
@@ -146,9 +119,6 @@ class RationalPoly:
         if lead == 1:
             return self
         return RationalPoly([c / lead for c in self.coeffs])
-
-    def derivative(self) -> "RationalPoly":
-        return RationalPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x):
         # Horner; exact for Fraction/int, floats/complex degrade gracefully
@@ -193,10 +163,11 @@ def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
 
 
 def is_squarefree(p: RationalPoly) -> bool:
-    """gcd(p, p') is constant, by `_int_gcd` on the integer forms."""
+    """gcd(p, p') is constant, by `_int_gcd` on the integer form and its derivative."""
     if p.degree < 1:
         raise ValueError("square-freeness is about non-constant polynomials")
-    return len(_int_gcd(_integer_coeffs(p)[0], _integer_coeffs(p.derivative())[0])) == 1
+    f = _integer_coeffs(p)[0]
+    return len(_int_gcd(f, [i * c for i, c in enumerate(f)][1:])) == 1
 
 
 def det_fraction(rows: list[list[Fraction]]) -> Fraction:
@@ -527,14 +498,6 @@ class RationalFunction:
         n, m = _int_exact_div(n, g), _int_exact_div(m, g)
         self.num = RationalPoly([Fraction(t * c, s * m[-1]) for c in n])
         self.den = RationalPoly([Fraction(c, m[-1]) for c in m])
-
-    @classmethod
-    def from_scalar(cls, c: Scalar) -> "RationalFunction":
-        return cls(RationalPoly.const(c))
-
-    @property
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalFunction):

@@ -171,8 +171,6 @@ class ParityDecomposition:
     p_plus: RationalPoly
     p_minus: RationalPoly
     p_zero: RationalPoly
-    plus_sign: int  # sign of the leading coefficient before normalization
-    minus_sign: int
 
 
 @dataclass(frozen=True)
@@ -211,16 +209,14 @@ class _PairPolys:
         """P+, P- and P0 = phi(G)/(P+ P-) in lam; None unless strongly cospectral.
 
         P+ and P- are coprime monic divisors of phi(G) in Z[mu], so P0 divides
-        out exactly.  a +/- b - lam = -(phi(G - v) -/+ A_uv)/D, where phi(G - v)
-        is monic and A_uv has lower degree: both numerators lead with -1 before
-        normalization.
+        out exactly.
         """
         if self.resultant == 0:
             return None
         p_plus, p_minus = self.parity_factors
         p_zero = _int_exact_div(self.phi_g, _int_mul(p_plus, p_minus))
         p_lam = (_lam_poly(p, self.d) for p in (p_plus, p_minus, p_zero))
-        return ParityDecomposition(*p_lam, -1, -1)
+        return ParityDecomposition(*p_lam)
 
 
 def _pair_polys(net: Network, u: int, v: int) -> _PairPolys | None:

@@ -112,6 +112,8 @@ def fidelity_curve(sys: EigenSystem, u: int, v: int, taus: np.ndarray) -> np.nda
 _PHASE_BLOCK = 512
 # Log-spaced samples kept in envelope_scan's thinned envelope.
 _ENVELOPE_POINTS = 2000
+# Coarse samples envelope_scan holds at a time; the report does not depend on it.
+_CHUNK_SIZE = 500_000
 
 
 @dataclass
@@ -167,7 +169,6 @@ def envelope_scan(
     v: int,
     tau_max: float,
     coarse_step: float,
-    chunk_size: int = 500_000,
 ) -> PeakReport:
     """Coarse fidelity scan with refinement of every new running-max record.
 
@@ -185,7 +186,7 @@ def envelope_scan(
     built per chunk for the blocks it overlaps.  N samples thus cost
     (B + N/B) n complex exponentials instead of N n.  Block q's B amplitudes
     are one (B x n)(n) product T R[q], the same shape in every chunk, so each
-    value depends on i alone and the report does not depend on chunk_size;
+    value depends on i alone and the report does not depend on _CHUNK_SIZE;
     against the direct exp(-i lam_k i dt) it differs by phase rounding of
     order eps*max|lam|*tau.
     coarse_step and tau_max/coarse_step must be finite and the sample count must
@@ -227,8 +228,8 @@ def envelope_scan(
     best_t, best_f = 0.0, -np.inf
     carry = -np.inf  # running max over all samples at earlier times
     pending: list[tuple[int, float]] = []  # refined values not yet placed at their own time
-    for start in range(0, n_samples, chunk_size):
-        stop = min(start + chunk_size, n_samples)
+    for start in range(0, n_samples, _CHUNK_SIZE):
+        stop = min(start + _CHUNK_SIZE, n_samples)
         q0 = start // _PHASE_BLOCK
         blocks = np.arange(q0, (stop - 1) // _PHASE_BLOCK + 1)
         rot = np.exp(np.outer(blocks * _PHASE_BLOCK * coarse_step, neg_i_lam)) * c
@@ -237,7 +238,7 @@ def envelope_scan(
             # one (B x n)(n) product per block, whatever the chunk: its shape is
             # fixed, so BLAS sums every block in the same order.  One
             # rot @ table.T per chunk would not be: its rounding changes with
-            # the row count, and the values would depend on chunk_size.
+            # the row count, and the values would depend on _CHUNK_SIZE.
             np.matmul(table, r, out=amp[j])
         f = np.abs(amp.ravel()[start - q0 * _PHASE_BLOCK :][: stop - start]) ** 2
         acc = np.maximum.accumulate(f)
@@ -308,18 +309,23 @@ def antisymmetric_confinement(
     return float(np.abs(amps).max())
 
 
-def eigenprojector_parity(
-    sys: EigenSystem, u: int, v: int, cluster_tol: float = 1e-8, parity_tol: float = 1e-8
-) -> bool:
+# eigenprojector_parity's tolerances, both scale-free (see its docstring)
+_CLUSTER_TOL = 1e-8
+_PARITY_TOL = 1e-8
+
+
+def eigenprojector_parity(sys: EigenSystem, u: int, v: int) -> bool:
     """Definite eigenvector parity on (u, v) for every eigenvalue cluster.
 
-    Eigenvalues closer than cluster_tol times the spectral radius are treated
-    as one degenerate cluster and tested through their projector.
+    Eigenvalues closer than _CLUSTER_TOL times the spectral radius are treated
+    as one degenerate cluster and tested through their projector P: the
+    parity is definite when P e_u - P e_v or P e_u + P e_v has a norm below
+    _PARITY_TOL.
     """
     _check_sites(sys, u, v)
     lam = sys.eigenvalues
     scale = float(np.abs(lam).max()) if sys.n else 1.0
-    tol = cluster_tol * scale
+    tol = _CLUSTER_TOL * scale
     start = 0
     for i in range(1, sys.n + 1):
         if i == sys.n or lam[i] - lam[i - 1] > tol:
@@ -327,8 +333,8 @@ def eigenprojector_parity(
             pu = block @ block[u - 1]
             pv = block @ block[v - 1]
             if (
-                np.linalg.norm(pu - pv) >= parity_tol
-                and np.linalg.norm(pu + pv) >= parity_tol
+                np.linalg.norm(pu - pv) >= _PARITY_TOL
+                and np.linalg.norm(pu + pv) >= _PARITY_TOL
             ):
                 return False
             start = i

@@ -229,6 +229,8 @@ def test_analyze_intensities():
     f_uv, f_vu = analyze_intensities([10.0, 12.0, 980.0], 10.0, 1, 3)
     assert f_uv == pytest.approx(970.0 / 972.0)
     assert f_vu == pytest.approx(0.0)
+    with pytest.raises(ValueError, match="distinct"):
+        analyze_intensities([10.0, 12.0, 980.0], 10.0, 2, 2)
 
 
 def test_analyze_intensities_clamps_with_warning():
@@ -266,6 +268,8 @@ def test_intensities_command_bad_input(tmp_path, capsys):
     assert main(["intensities", str(csv), "--bg", "0", "-u", "1", "-v", "1"]) == 2
     csv.write_text("site,intensity\n1,10\n3,12\n")  # gap in site ids
     assert main(["intensities", str(csv), "--bg", "0", "-u", "1", "-v", "2"]) == 2
+    csv.write_text("site,intensity\n1,10\n2,12\n")
+    assert main(["intensities", str(csv), "--bg", "0", "-u", "2", "-v", "2"]) == 2
 
 
 def test_missing_network_file_is_reported(capsys):

@@ -1,5 +1,6 @@
 """The integer polynomial core: `_int_gcd` against sympy, and the pair path in
-mu = d*lam against a local copy of the Euclidean gcd over `Fraction` it replaced.
+mu = d*lam against a local copy of the Euclidean gcd over Q it replaced, with
+its remainders and exact quotients taken by sympy.
 
 sympy and the local Euclidean copy are the independent oracles here; neither
 calls latsym's gcd.
@@ -136,13 +137,28 @@ def test_nine_site_parity_factors_match_sympy(coupling):
 
 
 # ---------------------------------------------------------------------------
-# The old pair path, copied here: polynomials in lam over Fraction, parity
-# factors by the Euclidean gcd, the resultant as a Fraction Gauss determinant.
+# The old pair path, copied here: polynomials in lam over Q, parity factors by
+# the Euclidean gcd, the resultant as a Fraction Gauss determinant.
+
+def to_sympy(p):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
+                      X, domain="QQ")
+
+
+def from_sympy(q):
+    return RationalPoly([Fraction(int(c.p), int(c.q)) for c in reversed(q.all_coeffs())])
+
+
+def exquo(a, b):
+    """a/b over Q by sympy, which raises unless b divides a."""
+    return from_sympy(to_sympy(a).exquo(to_sympy(b)))
+
 
 def euclid_gcd(a, b):
+    a, b = to_sympy(a), to_sympy(b)
     while not b.is_zero:
-        a, b = b, a % b
-    return a if a.is_zero else a.monic()
+        a, b = b, a.rem(b)
+    return from_sympy(a if a.is_zero else a.monic())
 
 
 def old_pair(net, u, v):
@@ -158,12 +174,12 @@ def old_pair(net, u, v):
 def old_parity_factors(phi_g, phi, a_uv):
     plus = euclid_gcd(phi_g, phi + a_uv)
     minus = euclid_gcd(phi_g, phi - a_uv)
-    return phi_g.exact_div(plus), phi_g.exact_div(minus)
+    return exquo(phi_g, plus), exquo(phi_g, minus)
 
 
 def old_reduced(num, den):
     g = euclid_gcd(num, den)
-    num, den = num.exact_div(g), den.exact_div(g)
+    num, den = exquo(num, g), exquo(den, g)
     return num * (1 / den.leading), den.monic()
 
 
@@ -190,7 +206,7 @@ def old_boundary(builder, k, grid, u=2, v=6):
         rp, rm = old_roots(p_plus), old_roots(p_minus)
         degrees.append((p_plus.degree, p_minus.degree))
         dist = float(np.abs(rp[:, None] - rm[None, :]).min())
-        points.append(BoundaryPoint(e, res != 0, res != 0, res == 0, sign, dist))
+        points.append(BoundaryPoint(e, res != 0, sign, dist))
     brackets, last = [], {}
     for point, degs in zip(points, degrees):
         prev = last.get(degs)
@@ -230,11 +246,11 @@ def test_pair_outputs_are_identical_to_the_euclidean_path(oracle_networks):
             cert = pgst_certificate(net, u, v)
             assert cert.strongly_cospectral == strong
             if strong:
-                p_zero = phi_g.exact_div(p_plus * p_minus)
+                p_zero = exquo(phi_g, p_plus * p_minus)
                 dec = parity_decompose(net, u, v)
                 assert (dec.p_plus, dec.p_minus, dec.p_zero) == (p_plus, p_minus, p_zero)
                 assert (cert.p_plus, cert.p_minus, cert.p_zero) == (p_plus, p_minus, p_zero)
-            jacobi = (phi * phi - a_uv * a_uv).exact_div(phi_g)
+            jacobi = exquo(phi * phi - a_uv * a_uv, phi_g)
             red = isospectral_reduction(net, u, v)
             assert (red.a.num, red.a.den) == old_reduced(RationalPoly.x() * jacobi - phi, jacobi)
             assert (red.b.num, red.b.den) == old_reduced(a_uv, jacobi)
@@ -246,7 +262,7 @@ def test_pair_path_builds_no_rational_polynomial(monkeypatch):
     def refuse(*args):
         raise AssertionError("Fraction polynomial arithmetic on the pair path")
 
-    for name in ("__init__", "__add__", "__mul__", "__divmod__"):
+    for name in ("__init__", "__add__", "__mul__"):
         monkeypatch.setattr(RationalPoly, name, refuse)
     monkeypatch.setattr(polynomial, "poly_gcd", refuse)
     report = boundary_scan(build_ninesite, K, SCAN_GRID[70:76])
@@ -256,12 +272,12 @@ def test_pair_path_builds_no_rational_polynomial(monkeypatch):
 
 def test_reduction_and_irreducibility_need_no_division_over_q(monkeypatch):
     # RationalFunction reduces by the integer gcd, and _is_irreducible decides
-    # square-freeness and Zassenhaus trial divisions in Z[x]
+    # square-freeness and Zassenhaus trial divisions in Z[x]; RationalPoly
+    # has no division over Q at all
     def refuse(*args):
-        raise AssertionError("division with remainder over Q")
+        raise AssertionError("gcd over Q")
 
     want = reduction_charpoly(isospectral_reduction(build_ninesite(), 2, 6))
-    monkeypatch.setattr(RationalPoly, "__divmod__", refuse)
     monkeypatch.setattr(polynomial, "poly_gcd", refuse)
     assert reduction_charpoly(isospectral_reduction(build_ninesite(), 2, 6)) == want
     x4_plus_1 = RationalPoly([1, 0, 0, 0, 1])  # reaches the Zassenhaus step

@@ -54,8 +54,6 @@ def test_decompose_two_site():
     assert dec.p_plus == RationalPoly([-1, 1])
     assert dec.p_minus == RationalPoly([1, 1])
     assert dec.p_zero == RationalPoly.one()
-    assert dec.plus_sign == -1
-    assert dec.minus_sign == -1
 
 
 def test_decompose_three_site_path():
@@ -70,8 +68,6 @@ def test_decompose_ninesite_frozen():
     assert dec.p_minus == P_MINUS
     assert dec.p_plus == P_PLUS
     assert dec.p_zero == RationalPoly([0, 1])
-    assert dec.plus_sign == -1
-    assert dec.minus_sign == -1
 
 
 def test_decompose_reassembles_char_poly():
@@ -221,8 +217,6 @@ UNREACHED_ITEMS = [
     ("p_plus", None),
     ("p_minus", None),
     ("p_zero", None),
-    ("plus_sign", None),
-    ("minus_sign", None),
     ("plus_irreducible", None),
     ("minus_irreducible", None),
     ("trace_ratio_plus", None),
@@ -258,8 +252,6 @@ FROZEN_CERTIFICATES = [
             ("p_plus", ["-1", "1"]),
             ("p_minus", ["1", "1"]),
             ("p_zero", ["1"]),
-            ("plus_sign", -1),
-            ("minus_sign", -1),
             ("plus_irreducible", True),
             ("minus_irreducible", True),
             ("trace_ratio_plus", "1"),
@@ -298,8 +290,6 @@ FROZEN_CERTIFICATES = [
                         "1"]),
             ("p_minus", ["-729/1250", "0", "1"]),
             ("p_zero", ["0", "1"]),
-            ("plus_sign", -1),
-            ("minus_sign", -1),
             ("plus_irreducible", True),
             ("minus_irreducible", True),
             ("trace_ratio_plus", "0"),
@@ -489,7 +479,7 @@ def test_boundary_common_factor_is_a_zero_resultant():
             # integer lists in mu = d*lam share a root iff the parity factors do
             x = sympy.Symbol("x")
             common = sympy.Poly(p_plus[::-1], x).gcd(sympy.Poly(p_minus[::-1], x)).degree() > 0
-            assert point.parity_common_factor == common == (builder is twin_chains)
+            assert (not point.strongly_cospectral) == common == (builder is twin_chains)
 
 
 def test_one_adjugate_pass_per_public_call(monkeypatch):
@@ -543,7 +533,6 @@ def test_parity_signs_are_negative_on_every_strongly_cospectral_pair(oracle_netw
             if not cert.strongly_cospectral:
                 continue
             certified += 1
-            assert (cert.plus_sign, cert.minus_sign) == (-1, -1)
             red = isospectral_reduction(net, u, v)
             plus, minus = red.a + red.b - lam, red.a - red.b - lam
             assert plus.num.leading < 0 and minus.num.leading < 0

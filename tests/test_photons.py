@@ -182,6 +182,9 @@ def test_total_unitary_validation():
         total_unitary(np.eye(3), (1, 1), 1)
     with pytest.raises(ValueError):
         total_unitary(np.eye(3), (1, 5), 1)
+    for phase in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            total_unitary(np.eye(3), (1, 2), 2, phase=phase)
 
 
 def test_two_photon_outputs_counts():

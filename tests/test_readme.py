@@ -2,8 +2,8 @@
 
 Exact subcommands must print the README text byte for byte; `cert` up to its
 elided `notes:` line.  `envelope` and `correlate` print floats from a
-numerical search, which are compared to 1e-9 relative.  `intensities` needs a
-measurement file the README does not ship, so it is skipped.
+numerical search, which are compared to 1e-9 relative.  `intensities` reads
+the measurement file shown in the README's `csv` block.
 """
 
 import math
@@ -18,7 +18,6 @@ from latsym.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 FLOAT_COMMANDS = ("envelope", "correlate")
-SKIPPED_COMMANDS = ("intensities",)
 
 
 def readme_examples():
@@ -32,12 +31,15 @@ def readme_examples():
     return examples
 
 
-EXAMPLES = [(c, o) for c, o in readme_examples() if shlex.split(c)[1] not in SKIPPED_COMMANDS]
+EXAMPLES = readme_examples()
+RUN_CSV = re.search(r"```csv\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
 
 
 def test_readme_has_examples_of_every_kind():
     kinds = {shlex.split(c)[1] for c, _ in EXAMPLES}
-    assert {"cospectral", "reduce", "cert", "scan-boundary", "evolve", *FLOAT_COMMANDS} <= kinds
+    assert {
+        "cospectral", "reduce", "cert", "scan-boundary", "evolve", "intensities", *FLOAT_COMMANDS
+    } <= kinds
 
 
 def _same_floats(got: str, want: str) -> bool:
@@ -63,6 +65,7 @@ def _same_floats(got: str, want: str) -> bool:
 def test_readme_example(command, expected, tmp_path, monkeypatch, capsys):
     (tmp_path / "networks").mkdir()
     shutil.copy(ROOT / "networks" / "ninesite.json", tmp_path / "networks")
+    (tmp_path / "run.csv").write_text(RUN_CSV)
     monkeypatch.chdir(tmp_path)
     argv = shlex.split(command)
     assert argv[0] == "latsym"

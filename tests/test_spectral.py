@@ -291,8 +291,8 @@ def test_singlet_sites_requires_cospectral_pair():
 def test_reduction_two_site_network():
     net = path_network(2, k=Fraction(3, 5))
     red = isospectral_reduction(net, 1, 2)
-    assert red.a == RationalFunction.from_scalar(0)
-    assert red.b == RationalFunction.from_scalar(Fraction(3, 5))
+    assert red.a == RationalFunction(RationalPoly.const(0))
+    assert red.b == RationalFunction(RationalPoly.const(Fraction(3, 5)))
 
 
 def test_reduction_three_site_path():
@@ -347,7 +347,7 @@ def test_reduction_preserves_point_spectrum():
     net = build_ninesite()
     red = isospectral_reduction(net, 2, 6)
     rc = reduction_charpoly(red)
-    assert char_poly(net) % rc == RationalPoly.zero()
+    assert to_sympy(char_poly(net)).rem(to_sympy(rc)).is_zero
 
 
 def test_reduction_charpoly_three_site():
@@ -482,7 +482,7 @@ def test_minor_engine_satisfies_jacobi_identity_against_cofactors(oracle_network
         for u, v in itertools.combinations(range(1, n + 1), 2):
             phi_u, phi_v = entry(u - 1, u - 1), entry(v - 1, v - 1)
             a_uv = entry(u - 1, v - 1)
-            d = (phi_u * phi_v - a_uv * a_uv).exact_div(phi)
+            d = from_sympy(to_sympy(phi_u * phi_v - a_uv * a_uv).exquo(to_sympy(phi)))
             assert phi_u * phi_v - a_uv * a_uv == phi * d
             for lam, deleted, cofactor_det in points:
                 assert phi_u(lam) == deleted[u - 1]
@@ -640,7 +640,7 @@ def test_parity_factors_and_strong_cospectrality_match_the_reduction(oracle_netw
                 if w not in (u, v) and entry(u - 1, w - 1) == entry(v - 1, w - 1)
             }
             phi, a_uv = entry(v - 1, v - 1), entry(u - 1, v - 1)
-            d = (phi * phi - a_uv * a_uv).exact_div(phi_g)
+            d = from_sympy(to_sympy(phi * phi - a_uv * a_uv).exquo(to_sympy(phi_g)))
 
             def lowest(num):
                 # sympy, not latsym's gcd engine, reduces num/D

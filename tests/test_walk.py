@@ -234,10 +234,11 @@ def test_envelope_scan_two_site():
     assert report.envelope[-1][2] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_envelope_scan_is_chunk_invariant():
+def test_envelope_scan_is_chunk_invariant(monkeypatch):
     sys = eigh(build_ninesite())
     a = envelope_scan(sys, 2, 6, 12.0, 0.02)
-    b = envelope_scan(sys, 2, 6, 12.0, 0.02, chunk_size=137)
+    monkeypatch.setattr(walk, "_CHUNK_SIZE", 137)
+    b = envelope_scan(sys, 2, 6, 12.0, 0.02)
     assert a.best == b.best
     assert a.peaks == b.peaks
     assert a.envelope == b.envelope
@@ -264,11 +265,12 @@ def test_envelope_rows_match_direct_fidelity_curve(oracle_networks, samples):
 @pytest.mark.parametrize(
     "chunk_size", [1, _PHASE_BLOCK - 1, _PHASE_BLOCK, _PHASE_BLOCK + 1, 137]
 )
-def test_envelope_scan_is_chunk_invariant_across_block_edges(chunk_size):
+def test_envelope_scan_is_chunk_invariant_across_block_edges(chunk_size, monkeypatch):
     sys = eigh(build_ninesite())
     a = envelope_scan(sys, 2, 6, 50.0, 0.02)
     assert a.samples > 4 * _PHASE_BLOCK
-    b = envelope_scan(sys, 2, 6, 50.0, 0.02, chunk_size=chunk_size)
+    monkeypatch.setattr(walk, "_CHUNK_SIZE", chunk_size)
+    b = envelope_scan(sys, 2, 6, 50.0, 0.02)
     assert a.best == b.best
     assert a.peaks == b.peaks
     assert a.envelope == b.envelope
@@ -287,13 +289,14 @@ def seeded_24_site_network():
 @pytest.mark.parametrize(
     "chunk_size", [1, _PHASE_BLOCK - 1, _PHASE_BLOCK + 1, 3 * _PHASE_BLOCK + 7]
 )
-def test_envelope_scan_is_chunk_invariant_on_a_larger_network(chunk_size):
+def test_envelope_scan_is_chunk_invariant_on_a_larger_network(chunk_size, monkeypatch):
     # each block's amplitudes are one fixed-shape BLAS product, whatever the chunk
     n = 24
     sys = eigh(seeded_24_site_network())
     a = envelope_scan(sys, 1, n, 80.0, 0.02)
     assert a.samples > 7 * _PHASE_BLOCK
-    b = envelope_scan(sys, 1, n, 80.0, 0.02, chunk_size=chunk_size)
+    monkeypatch.setattr(walk, "_CHUNK_SIZE", chunk_size)
+    b = envelope_scan(sys, 1, n, 80.0, 0.02)
     assert a.best == b.best
     assert a.peaks == b.peaks
     assert a.envelope == b.envelope
