@@ -44,7 +44,7 @@ MAX_EVOLVE_VALUES = 10_000_000
 _EVOLVE_BLOCK_ROWS = 4096
 
 # Largest `envelope` grid, in samples.  On the nine-site network the scan takes
-# about 16 s for this many samples; a larger grid is refused before eigh runs.
+# about 3 s for this many samples (2-core Xeon); a larger grid is refused before eigh runs.
 MAX_ENVELOPE_SAMPLES = 10**8
 
 
@@ -161,7 +161,7 @@ def _cmd_scan_boundary(args) -> int:
 def _cmd_evolve(args) -> int:
     import numpy as np
 
-    from .walk import eigh
+    from .walk import _check_taus, eigh
 
     if not (0 < args.step < math.inf and args.tmax >= 0):
         raise ValueError("need step > 0 and tmax >= 0")
@@ -174,6 +174,7 @@ def _cmd_evolve(args) -> int:
             f"{MAX_EVOLVE_VALUES} values"
         )
     sys_ = eigh(net)
+    _check_taus(sys_, (n_rows - 1) * args.step)
     coef = sys_.eigenvectors[args.from_site - 1]
 
     def rows():

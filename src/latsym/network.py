@@ -89,13 +89,6 @@ class Network:
             rows[j - 1].append((i - 1, a))
         return _IntegerForm(d, tuple(map(tuple, rows)))
 
-    def coupling(self, i: int, j: int) -> Fraction:
-        key = (i, j) if i < j else (j, i)
-        for a, b, w in self.edges:
-            if (a, b) == key:
-                return w
-        return Fraction(0)
-
     def coupling_map(self) -> dict[tuple[int, int], Fraction]:
         """Symmetric lookup table, both orientations present."""
         m = {}
@@ -247,8 +240,6 @@ def has_swap_automorphism(net: Network, u: int, v: int) -> bool:
     )
 
     def consistent(x: int, y: int) -> bool:
-        if net.onsite[x - 1] != net.onsite[y - 1]:
-            return False
         for a, b in assigned.items():
             if wt.get((x, a), 0) != wt.get((y, b), 0):
                 return False

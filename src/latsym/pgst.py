@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .network import Network, has_swap_automorphism
-from .polynomial import RationalPoly, _is_irreducible
+from .polynomial import RationalPoly, is_irreducible
 from .spectral import ParityDecomposition, _pair_polys
 
 CERTIFIED = "CERTIFIED"
@@ -35,8 +35,7 @@ def parity_decompose(net: Network, u: int, v: int) -> ParityDecomposition:
     """Split char_poly into p_plus * p_minus * p_zero for a strongly cospectral pair.
 
     Parity factors are the numerators of a(lam) +/- b(lam) - lam after full
-    cancellation, normalized monic; p_zero is recovered by exact division and
-    any remainder aborts.
+    cancellation, normalized monic; p_zero = char_poly/(p_plus * p_minus), exactly.
     """
     pair = _pair_polys(net, u, v)
     if pair is None:
@@ -44,24 +43,6 @@ def parity_decompose(net: Network, u: int, v: int) -> ParityDecomposition:
     if pair.decomposition is None:
         raise PGSTError(f"pair ({u}, {v}) is not strongly cospectral")
     return pair.decomposition
-
-
-def is_irreducible(p: RationalPoly) -> bool:
-    """Irreducibility over Q, decided exactly in Python integers.
-
-    p is scaled to a primitive integer f with lc(f) > 0.  Degree 1 is
-    irreducible; a zero constant term or a repeated factor (gcd(f, f') in Z[x],
-    taken once f has repeated factors mod five primes) makes f reducible.  A
-    factorisation f = g*h over Z survives mod each prime p not dividing lc(f),
-    so deg g is a sum of degrees of factors mod p.  Distinct-degree
-    factorisation at up to five primes with f mod p square-free proves f
-    irreducible once no degree but 0 and deg f is possible at all of them.
-    Otherwise (Zassenhaus) the factors at the prime with the fewest are
-    Hensel-lifted past the Mignotte bound and subset products of a possible
-    degree are trial-divided into f: f is reducible iff one divides."""
-    if p.degree < 1:
-        raise ValueError("irreducibility is about non-constant polynomials")
-    return _is_irreducible(p)
 
 
 def trace_ratios(p_plus: RationalPoly, p_minus: RationalPoly) -> tuple[Fraction, Fraction, bool]:

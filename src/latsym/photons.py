@@ -106,7 +106,7 @@ def _check_unitary(u: np.ndarray, tol: float) -> None:
     n = u.shape[0]
     if u.shape != (n, n):
         raise ValueError("unitary must be square")
-    if np.abs(u.conj().T @ u - np.eye(n)).max() > tol:
+    if not np.abs(u.conj().T @ u - np.eye(n)).max() <= tol:  # NaN fails too
         raise ValueError("matrix is not unitary within tolerance")
 
 

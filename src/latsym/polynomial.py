@@ -3,7 +3,7 @@
 `RationalPoly` and `RationalFunction` hold `fractions.Fraction` coefficients,
 but compute on an integer core of ascending lists of Python ints: one gcd
 (`_int_gcd`, a primitive PRS), exact division, the resultant (`_int_resultant`,
-a subresultant PRS), and the mod-p arithmetic of the irreducibility test.
+a subresultant PRS), and the mod-p arithmetic of `is_irreducible`.
 Sums, products, the reduction of a `RationalFunction`, `poly_gcd` and
 `resultant` scale their inputs to integers, call that core and divide by one
 common denominator at the end; the spectral layer and the irreducibility test
@@ -14,8 +14,9 @@ Some public names have no caller in the library; each stays for a reason:
 - `det_fraction`, `poly_gcd` and `is_squarefree`: the benchmark's tracer
   (`perfbench/tracing.TRACED`) wraps them by name, which
   `tests/test_traced_names.py` pins, and the tests use them as oracles.
-- `RationalFunction` sums, differences and products: they are the test oracle
-  for `spectral.reduction_charpoly` and for the sign of the parity factors.
+- `RationalPoly` and `RationalFunction` arithmetic and `__call__`: the tests'
+  Schur-complement, point-value and reduction oracles.
+- `RationalPoly.__mul__`: the benchmark's certify check multiplies P+ P- P0.
 
 Everything here is exact: no floats enter unless the caller evaluates at a
 float/complex point.
@@ -48,22 +49,6 @@ class RationalPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "RationalPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "RationalPoly":
-        return cls([1])
-
-    @classmethod
-    def const(cls, c: Scalar) -> "RationalPoly":
-        return cls([c])
-
-    @classmethod
-    def x(cls) -> "RationalPoly":
-        return cls([0, 1])
 
     @property
     def degree(self) -> int:
@@ -134,7 +119,7 @@ class RationalPoly:
         return format_poly(self)
 
 
-def format_poly(p: RationalPoly, var: str = "lam") -> str:
+def format_poly(p: RationalPoly) -> str:
     if p.is_zero:
         return "0"
     parts = []
@@ -147,7 +132,7 @@ def format_poly(p: RationalPoly, var: str = "lam") -> str:
         if i == 0:
             term = str(mag)
         else:
-            pw = var if i == 1 else f"{var}^{i}"
+            pw = "lam" if i == 1 else f"lam^{i}"
             term = pw if mag == 1 else f"{mag}*{pw}"
         if not parts:
             parts.append(term if sign == "+" else f"-{term}")
@@ -444,9 +429,22 @@ def _zassenhaus(f: list[int], p: int, dd: list, degrees: set[int]) -> bool:
 _DEGREE_PRIMES = 5  # good primes tried before the Zassenhaus fallback
 
 
-def _is_irreducible(poly: RationalPoly) -> bool:
-    """Irreducibility over Q of a non-constant poly; `pgst.is_irreducible` has the method."""
-    f = _primitive(_integer_coeffs(poly)[0])
+def is_irreducible(p: RationalPoly) -> bool:
+    """Irreducibility over Q, decided exactly in Python integers.
+
+    p is scaled to a primitive integer f with lc(f) > 0.  Degree 1 is
+    irreducible; a zero constant term or a repeated factor (gcd(f, f') in Z[x],
+    taken once f has repeated factors mod five primes) makes f reducible.  A
+    factorisation f = g*h over Z survives mod each prime p not dividing lc(f),
+    so deg g is a sum of degrees of factors mod p.  Distinct-degree
+    factorisation at up to five primes with f mod p square-free proves f
+    irreducible once no degree but 0 and deg f is possible at all of them.
+    Otherwise (Zassenhaus) the factors at the prime with the fewest are
+    Hensel-lifted past the Mignotte bound and subset products of a possible
+    degree are trial-divided into f: f is reducible iff one divides."""
+    if p.degree < 1:
+        raise ValueError("irreducibility is about non-constant polynomials")
+    f = _primitive(_integer_coeffs(p)[0])
     n, degrees, best, good, bad = len(f) - 1, set(range(len(f))), (len(f),), 0, 0
     if n == 1 or f[0] == 0:
         return n == 1

@@ -8,12 +8,15 @@ envelope_scan evaluates its coarse grid from a phase table: one block of
 exp(-i lam_k r dt) per call, rotated per block of _PHASE_BLOCK samples, so a
 long scan makes no complex exponential per sample, and each block's
 amplitudes are one BLAS matrix-vector product.  It refines a peak by a climb
-in coarse steps and Newton's method on the analytic F' and F'', and reads the
-running maximum only at the samples its envelope keeps.
+in coarse steps and Newton's method on the analytic F' and F'', and builds the
+running maximum at the kept samples in one pass after the scan.
 """
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
+from sys import float_info
 from typing import Iterable
 
 import numpy as np
@@ -33,7 +36,11 @@ class EigenSystem:
 
 
 def _hamiltonian_matrix(net: Network) -> np.ndarray:
-    # the float(Fraction) entries of net.hamiltonian(), without its n x n Fractions
+    # the float(Fraction) entries of net.hamiltonian(), without its n x n Fractions; a
+    # nonzero entry outside the normal float range would overflow or lose its value
+    lo, hi = Fraction(float_info.min), Fraction(float_info.max)
+    if any(x and not lo <= abs(x) <= hi for x in (*net.onsite, *(w for *_, w in net.edges))):
+        raise ValueError("an entry of H is outside the normal float range 2.2e-308..1.8e308")
     h = np.diag([float(e) for e in net.onsite])
     for i, j, w in net.edges:
         h[i - 1, j - 1] = h[j - 1, i - 1] = float(w)
@@ -45,7 +52,8 @@ def eigh(net: Network) -> EigenSystem:
 
     Eigenpairs are returned sorted ascending.  The result must be orthonormal
     to 1e-10 and reconstruct H to 1e-10 times the largest |H_ij|; a LAPACK
-    failure or a result outside either bound raises ConvergenceError.
+    failure or a result outside either bound raises ConvergenceError.  A
+    nonzero entry of H outside the normal float range raises ValueError.
     """
     n = net.n
     h = _hamiltonian_matrix(net)
@@ -69,15 +77,17 @@ def _check_sites(sys: EigenSystem, *sites: int) -> None:
             raise ValueError(f"site {site} out of range 1..{sys.n}")
 
 
-def _check_taus(taus) -> None:
-    # exp(-i lam tau) of a non-finite tau is NaN, which would pass as a result
-    if not np.isfinite(taus).all():
-        raise ValueError("tau must be finite")
+def _check_taus(sys: EigenSystem, taus) -> None:
+    # exp(-i lam tau) is NaN, which would pass as a result, unless tau and lam*tau are
+    # finite; a product of Python floats overflows to inf (0 * inf is NaN) with no warning
+    lam = float(np.abs(sys.eigenvalues).max(initial=0.0))
+    if not math.isfinite(lam * float(np.abs(taus).max(initial=0.0))):
+        raise ValueError("tau must be finite, and so must max|lam| * |tau|")
 
 
 def evolve(sys: EigenSystem, tau: float, psi0: np.ndarray) -> np.ndarray:
     """psi(tau) = Q exp(-i Lambda tau) Q^T psi0."""
-    _check_taus(tau)
+    _check_taus(sys, tau)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (sys.n,):
         raise ValueError(f"state must have shape ({sys.n},)")
@@ -86,7 +96,7 @@ def evolve(sys: EigenSystem, tau: float, psi0: np.ndarray) -> np.ndarray:
 
 
 def evolution_operator(sys: EigenSystem, tau: float) -> np.ndarray:
-    _check_taus(tau)
+    _check_taus(sys, tau)
     phases = np.exp(-1j * sys.eigenvalues * tau)
     return (sys.eigenvectors * phases) @ sys.eigenvectors.T
 
@@ -94,7 +104,7 @@ def evolution_operator(sys: EigenSystem, tau: float) -> np.ndarray:
 def fidelity(sys: EigenSystem, u: int, v: int, tau: float) -> float:
     """|U_{u,v}(tau)|^2 — probability of finding at u a walker launched at v."""
     _check_sites(sys, u, v)
-    _check_taus(tau)
+    _check_taus(sys, tau)
     c = sys.eigenvectors[u - 1] * sys.eigenvectors[v - 1]
     amp = np.sum(c * np.exp(-1j * sys.eigenvalues * tau))
     return float(abs(amp) ** 2)
@@ -102,7 +112,7 @@ def fidelity(sys: EigenSystem, u: int, v: int, tau: float) -> float:
 
 def fidelity_curve(sys: EigenSystem, u: int, v: int, taus: np.ndarray) -> np.ndarray:
     _check_sites(sys, u, v)
-    _check_taus(taus)
+    _check_taus(sys, taus)
     c = sys.eigenvectors[u - 1] * sys.eigenvectors[v - 1]
     amp = np.exp(-1j * np.outer(taus, sys.eigenvalues)) @ c
     return np.abs(amp) ** 2
@@ -189,8 +199,8 @@ def envelope_scan(
     value depends on i alone and the report does not depend on _CHUNK_SIZE;
     against the direct exp(-i lam_k i dt) it differs by phase rounding of
     order eps*max|lam|*tau.
-    coarse_step and tau_max/coarse_step must be finite and the sample count must
-    fit in int64, else ValueError.
+    coarse_step, tau_max/coarse_step, max|lam|*tau_max and lam^2*c must be
+    finite and the sample count must fit in int64, else ValueError.
     """
     if tau_max <= 0 or coarse_step <= 0:
         raise ValueError("tau_max and coarse_step must be positive")
@@ -201,18 +211,17 @@ def envelope_scan(
     if n_samples > np.iinfo(np.int64).max:
         raise ValueError(f"{n_samples} samples do not fit in int64")
 
-    keep = np.unique(
-        np.concatenate(
-            [
-                [0, n_samples - 1],
-                np.round(np.geomspace(1, n_samples, _ENVELOPE_POINTS)).astype(int) - 1,
-            ]
-        )
-    )
-    keep = keep[(keep >= 0) & (keep < n_samples)]
+    # geomspace ends exactly at 1 and n_samples, so keep holds 0 and n_samples - 1
+    keep = np.unique(np.round(np.geomspace(1, n_samples, _ENVELOPE_POINTS)).astype(int) - 1)
 
     neg_i_lam = -1j * sys.eigenvalues
     c = sys.eigenvectors[u - 1] * sys.eigenvectors[v - 1]
+    # phases are taken up to tau_max (B*coarse_step in the table), and sum_k |c_k| <= 1
+    # gives |F''| <= 4 sum_k lam_k^2 |c_k|; Python floats overflow with no warning
+    _check_taus(sys, max(tau_max, _PHASE_BLOCK * coarse_step))
+    lam = sys.eigenvalues.tolist()
+    if not math.isfinite(4 * sum(x * x * abs(y) for x, y in zip(lam, c.tolist()))):
+        raise ValueError("lam^2 * c must be finite")
     table = np.exp(np.outer(np.arange(_PHASE_BLOCK) * coarse_step, neg_i_lam))
     fid = lambda t: float(abs(c @ np.exp(neg_i_lam * t)) ** 2)
     # rows of a, a' and a'' at t: F' = 2 Re(conj(a) a'), F'' = 2 (|a'|^2 + Re(conj(a) a''))
@@ -224,10 +233,10 @@ def envelope_scan(
         return 2.0 * (ac * da).real, 2.0 * (abs(da) ** 2 + (ac * dda).real)
 
     peaks: list[tuple[float, float]] = []
-    envelope: list[tuple[float, float, float]] = []
+    ref_pos, ref_f = [], []  # sample position and F of each refinement
+    kept_f, kept_max = [], []
     best_t, best_f = 0.0, -np.inf
-    carry = -np.inf  # running max over all samples at earlier times
-    pending: list[tuple[int, float]] = []  # refined values not yet placed at their own time
+    carry = -np.inf  # max over the coarse samples at earlier times
     for start in range(0, n_samples, _CHUNK_SIZE):
         stop = min(start + _CHUNK_SIZE, n_samples)
         q0 = start // _PHASE_BLOCK
@@ -243,10 +252,8 @@ def envelope_scan(
         f = np.abs(amp.ravel()[start - q0 * _PHASE_BLOCK :][: stop - start]) ** 2
         acc = np.maximum.accumulate(f)
         # a coarse record triggers refinement unless best_f already reaches it;
-        # best_f >= carry, so a record at or below carry is skipped as well
-        records = np.flatnonzero(f[1:] > acc[:-1]) + 1
-        if f[0] > carry:
-            records = np.concatenate(([0], records))
+        # best_f is at least every earlier sample, so sample 0 is always a candidate
+        records = np.concatenate(([0], np.flatnonzero(f[1:] > acc[:-1]) + 1))
         for i, f_i in zip(records.tolist(), f[records].tolist()):
             if f_i <= best_f:
                 continue
@@ -254,33 +261,30 @@ def envelope_scan(
             t_ref, f_ref = _refine_peak(fid, dfid, t_i, coarse_step, 0.0, tau_max)
             if f_ref < f_i:  # refinement may not undercut its trigger
                 t_ref, f_ref = t_i, f_i
+            # f_ref >= f_i > best_f >= every F so far: a record, and the top of its peak
             if peaks and abs(t_ref - peaks[-1][0]) < coarse_step:
-                if f_ref > peaks[-1][1]:
-                    peaks[-1] = (t_ref, f_ref)
+                peaks[-1] = (t_ref, f_ref)
             else:
                 peaks.append((t_ref, f_ref))
-            if f_ref > best_f:
-                best_t, best_f = t_ref, f_ref
-            pos = max(0, min(int(np.ceil(t_ref / coarse_step - 1e-9)), n_samples - 1))
-            pending.append((pos, f_ref))
-        # the running max, read at the kept samples only: the coarse max, the
-        # carry, and each refined value from its own position on
+            best_t, best_f = t_ref, f_ref
+            ref_pos.append(min(int(np.ceil(t_ref / coarse_step - 1e-9)), n_samples - 1))
+            ref_f.append(f_ref)
         sel = keep[np.searchsorted(keep, start) : np.searchsorted(keep, stop)]
-        running = np.maximum(acc[sel - start], carry)
-        placed = [(pos, val) for pos, val in pending if pos < stop]
-        pending = [(pos, val) for pos, val in pending if pos >= stop]
-        for pos, val in placed:
-            later = running[np.searchsorted(sel, pos) :]
-            np.maximum(later, val, out=later)
-        envelope.extend(
-            zip((sel * coarse_step).tolist(), f[sel - start].tolist(), running.tolist())
-        )
-        carry = max(float(acc[-1]), carry, *(val for _, val in placed))
+        kept_f.append(f[sel - start])
+        kept_max.append(np.maximum(acc[sel - start], carry))
+        carry = max(float(acc[-1]), carry)
+    # the running max at the kept samples: the coarse running max, raised by
+    # each refined value from the first kept sample at or after its position
+    running = np.concatenate(kept_max)
+    np.maximum.at(running, np.searchsorted(keep, ref_pos), ref_f)
+    np.maximum.accumulate(running, out=running)
     return PeakReport(
         samples=n_samples,
         step=coarse_step,
         peaks=peaks,
-        envelope=envelope,
+        envelope=list(
+            zip((keep * coarse_step).tolist(), np.concatenate(kept_f).tolist(), running.tolist())
+        ),
         best=(best_t, best_f),
     )
 
@@ -290,19 +294,21 @@ def antisymmetric_confinement(
 ) -> float:
     """Max |psi_w(tau)| over singlet sites w for the input (e_u - e_v)/sqrt(2).
 
-    The singlets must not include u or v, whose amplitudes the input sets, and
-    the grid must be non-empty and finite, else ValueError.
+    u and v must differ, the singlets must not include them (the input sets their
+    amplitudes), and the grid must be non-empty and finite, else ValueError.
     """
     sites = sorted(int(s) for s in singlets)
     if not sites:
         raise ValueError("no singlet sites supplied")
     _check_sites(sys, u, v, *sites)
+    if u == v:
+        raise ValueError("pair must consist of two distinct sites")  # e_u - e_u is 0
     if u in sites or v in sites:
         raise ValueError(f"singlet sites must not include the pair ({u}, {v})")
     taus = np.asarray(tau_grid, dtype=float)
     if not taus.size:
         raise ValueError("tau grid is empty")
-    _check_taus(taus)
+    _check_taus(sys, taus)
     coef = (sys.eigenvectors[u - 1] - sys.eigenvectors[v - 1]) / np.sqrt(2.0)
     phases = np.exp(-1j * np.outer(taus, sys.eigenvalues))
     amps = (phases * coef) @ sys.eigenvectors[[s - 1 for s in sites]].T

@@ -122,6 +122,57 @@ def test_scan_boundary_refuses_couplings_beyond_the_float_range(capsys):
     assert captured.err.startswith("error: a parity-factor coefficient exceeds the float range")
 
 
+_OUT_OF_RANGE = "error: an entry of H is outside the normal float range 2.2e-308..1.8e308\n"
+_PHASE_OVERFLOW = "error: tau must be finite, and so must max|lam| * |tau|\n"
+
+
+@pytest.mark.parametrize(
+    "coupling, argv, err",
+    [
+        ("1" + "0" * 400, ["envelope", "-u", "1", "-v", "2", "--tmax", "10", "--step", "0.1"],
+         _OUT_OF_RANGE),
+        ("1" + "0" * 400, ["evolve", "--from", "1", "--tmax", "10", "--step", "1"], _OUT_OF_RANGE),
+        ("1" + "0" * 400, ["correlate", "-u", "1", "-v", "2", "--tau", "1"], _OUT_OF_RANGE),
+        # once read as 0.0, it printed best: tau=0 F=0 against a true F of about 1e-200
+        ("1/1" + "0" * 400,
+         ["envelope", "-u", "1", "-v", "2", "--tmax", "1e300", "--step", "1e298"], _OUT_OF_RANGE),
+        # lam^2 overflows in F''
+        ("1" + "0" * 300, ["envelope", "-u", "1", "-v", "2", "--tmax", "10", "--step", "0.1"],
+         "error: lam^2 * c must be finite\n"),
+    ],
+    ids=["envelope-1e400", "evolve-1e400", "correlate-1e400", "envelope-1e-400", "envelope-1e300"],
+)
+def test_numeric_subcommands_refuse_couplings_outside_the_float_range(
+    tmp_path, capsys, coupling, argv, err
+):
+    net = tmp_path / "two.json"
+    net.write_text(json.dumps({"n": 2, "onsite": ["0", "0"], "edges": [[1, 2, coupling]]}))
+    out = tmp_path / "out.csv"
+    assert main([argv[0], str(net), *argv[1:], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["correlate", "-u", "2", "-v", "6", "--tau", "1.7e308"],
+        ["evolve", "--from", "2", "--tmax", "1.7e308", "--step", "1e307"],
+    ],
+    ids=["correlate", "evolve"],
+)
+def test_numeric_subcommands_refuse_overflowing_phases(net_file, tmp_path, capsys, argv):
+    # lam*tau overflows: both once wrote NaN to the CSV and exited 0
+    out = tmp_path / "out.csv"
+    assert main([argv[0], net_file, *argv[1:], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == _PHASE_OVERFLOW
+    assert not out.exists()
+
+
 def test_evolve_writes_probability_table(chain2_file, tmp_path, capsys):
     out = tmp_path / "probs.csv"
     code = main(

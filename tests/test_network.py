@@ -44,9 +44,9 @@ def test_parse_rational_rejects(bad):
 def test_network_canonicalizes_edges():
     net = Network(3, [0, 0, 0], [(2, 1, Fraction(1, 2)), (3, 2, Fraction(1))])
     assert net.edges == ((1, 2, Fraction(1, 2)), (2, 3, Fraction(1)))
-    assert net.coupling(1, 2) == Fraction(1, 2)
-    assert net.coupling(2, 1) == Fraction(1, 2)
-    assert net.coupling(1, 3) == 0
+    assert net.coupling_map()[(1, 2)] == Fraction(1, 2)
+    assert net.coupling_map()[(2, 1)] == Fraction(1, 2)
+    assert (1, 3) not in net.coupling_map()
 
 
 def test_network_drops_zero_weight_edges():
@@ -151,9 +151,9 @@ def test_attach_offsets_extension_ids():
     ext = path_network(2, k=Fraction(5))
     out = attach(base, [2], ext, [(2, 1, Fraction(7))])
     assert out.n == 5
-    assert out.coupling(4, 5) == Fraction(5)  # ext edge shifted by 3
-    assert out.coupling(2, 4) == Fraction(7)  # the bridge
-    assert out.coupling(1, 2) == Fraction(1)
+    assert out.coupling_map()[(4, 5)] == Fraction(5)  # ext edge shifted by 3
+    assert out.coupling_map()[(2, 4)] == Fraction(7)  # the bridge
+    assert out.coupling_map()[(1, 2)] == Fraction(1)
 
 
 def test_attach_empty_extension_is_identity():

@@ -185,6 +185,11 @@ def test_total_unitary_validation():
     for phase in (np.nan, np.inf):
         with pytest.raises(ValueError, match="phase must be finite"):
             total_unitary(np.eye(3), (1, 2), 2, phase=phase)
+    # NaN compares False with the tolerance, and once passed as unitary
+    with pytest.raises(ValueError, match="not unitary"):
+        total_unitary(np.full((2, 2), np.nan), (1, 2), 2)
+    with pytest.raises(ValueError, match="not unitary"):
+        correlation_matrix(np.full((2, 2), np.nan), (1, 2))
 
 
 def test_two_photon_outputs_counts():

@@ -118,7 +118,7 @@ SIGNATURES = {
     "permanent": "(m)",
     "total_unitary": "(net_u, bs_sites, phase_site, phase=1.5707963267948966)",
     "transition_probability": "(r, s, u, statistics='bosonic')",
-    "format_poly": "(p, var='lam')",
+    "format_poly": "(p)",
     "resultant": "(p, q)",
     "char_poly": "(net)",
     "is_cospectral": "(net, u, v)",

@@ -540,17 +540,39 @@ def test_antisymmetric_confinement_needs_sites():
         (lambda sys: antisymmetric_confinement(sys, 2, 6, SINGLET_SITES, []), "grid is empty"),
         (lambda sys: antisymmetric_confinement(sys, 2, 6, [2], [1.0]), "must not include"),
         (lambda sys: antisymmetric_confinement(sys, 2, 6, [4, 6], [1.0]), "must not include"),
+        (lambda sys: antisymmetric_confinement(sys, 2, 2, [4], [1.0]), "distinct sites"),
+        (lambda sys: evolution_operator(sys, 1.7e308), r"max\|lam\| \* \|tau\|"),
+        (lambda sys: fidelity_curve(sys, 2, 6, [0.0, -1.7e308]), r"max\|lam\| \* \|tau\|"),
+        (lambda sys: envelope_scan(sys, 2, 6, 1.7e308, 1e307), r"max\|lam\| \* \|tau\|"),
     ],
     ids=[
         "fidelity", "fidelity_curve", "evolve", "evolution_operator", "confinement-tau",
         "confinement-empty-grid", "confinement-singlet-u", "confinement-singlet-v",
+        "confinement-u-equals-v", "evolution_operator-phase-overflow",
+        "fidelity_curve-phase-overflow", "envelope_scan-phase-overflow",
     ],
 )
 def test_walk_functions_refuse_non_finite_tau_and_bad_confinement_input(call, match):
     # each would otherwise return NaN, a leak through u or v (0.51 for
-    # singlets [2] on (2, 6)), or numpy's zero-size reduction error
+    # singlets [2] on (2, 6)), numpy's zero-size reduction error, or 0.0 for
+    # the zero input (e_2 - e_2)/sqrt(2)
     with pytest.raises(ValueError, match=match):
         call(eigh(build_ninesite()))
+
+
+@pytest.mark.parametrize(
+    "onsite, coupling",
+    [
+        (0, Fraction(1, 10**310)),  # subnormal: it would keep only a few bits
+        (Fraction(-(10**309)), 1),
+    ],
+    ids=["coupling-1e-310", "onsite-1e309"],
+)
+def test_eigh_refuses_entries_outside_the_normal_float_range(onsite, coupling):
+    # test_cli runs the couplings 1e400 and 1e-400 through the subcommands
+    net = Network(2, [onsite, 0], [(1, 2, coupling)])
+    with pytest.raises(ValueError, match="outside the normal float range"):
+        eigh(net)
 
 
 def test_eigenprojector_parity():
