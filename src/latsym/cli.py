@@ -44,7 +44,7 @@ MAX_EVOLVE_VALUES = 10_000_000
 _EVOLVE_BLOCK_ROWS = 4096
 
 # Largest `envelope` grid, in samples.  On the nine-site network the scan takes
-# about 3 s for this many samples (2-core Xeon); a larger grid is refused before eigh runs.
+# about 2.5 s for this many samples (2-core Xeon); a larger grid is refused before eigh runs.
 MAX_ENVELOPE_SAMPLES = 10**8
 
 

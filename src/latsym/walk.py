@@ -7,15 +7,16 @@ must lie in 1..n; raw state vectors are plain 0-based numpy arrays.
 envelope_scan evaluates its coarse grid from a phase table: one block of
 exp(-i lam_k r dt) per call, rotated per block of _PHASE_BLOCK samples, so a
 long scan makes no complex exponential per sample, and each block's
-amplitudes are one BLAS matrix-vector product.  It refines a peak by a climb
-in coarse steps and Newton's method on the analytic F' and F'', and builds the
-running maximum at the kept samples in one pass after the scan.
+amplitudes are one BLAS matrix-vector product.  A record's climb to its peak
+reads the coarse samples the scan already holds; Newton's method on the
+analytic F' and F'' then refines that peak.  The running maximum at the kept
+samples comes from the maxima of the segments that end there, raised by the
+refined peaks in one pass after the scan.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from sys import float_info
 from typing import Iterable
 
@@ -35,15 +36,23 @@ class EigenSystem:
     n: int
 
 
-def _hamiltonian_matrix(net: Network) -> np.ndarray:
-    # the float(Fraction) entries of net.hamiltonian(), without its n x n Fractions; a
-    # nonzero entry outside the normal float range would overflow or lose its value
-    lo, hi = Fraction(float_info.min), Fraction(float_info.max)
-    if any(x and not lo <= abs(x) <= hi for x in (*net.onsite, *(w for *_, w in net.edges))):
+def _float_entry(x: Fraction) -> float:
+    # float(x) rounds to nearest and raises OverflowError past float_info.max; a
+    # nonzero entry that overflows or rounds below the normal range is refused
+    try:
+        y = float(x)
+    except OverflowError:
+        y = math.inf
+    if x and not float_info.min <= abs(y) <= float_info.max:
         raise ValueError("an entry of H is outside the normal float range 2.2e-308..1.8e308")
-    h = np.diag([float(e) for e in net.onsite])
+    return y
+
+
+def _hamiltonian_matrix(net: Network) -> np.ndarray:
+    # the float(Fraction) entries of net.hamiltonian(), without its n x n Fractions
+    h = np.diag([_float_entry(e) for e in net.onsite])
     for i, j, w in net.edges:
-        h[i - 1, j - 1] = h[j - 1, i - 1] = float(w)
+        h[i - 1, j - 1] = h[j - 1, i - 1] = _float_entry(w)
     return h
 
 
@@ -65,7 +74,7 @@ def eigh(net: Network) -> EigenSystem:
         scale = float(np.abs(h).max())
         if np.abs(q.T @ q - np.eye(n)).max() > 1e-10:
             raise ConvergenceError("eigenvector matrix lost orthonormality")
-        if np.abs(q @ np.diag(evals) @ q.T - h).max() > 1e-10 * scale:
+        if np.abs((q * evals) @ q.T - h).max() > 1e-10 * scale:
             raise ConvergenceError("spectral reconstruction drifted from H")
     return EigenSystem(eigenvalues=evals, eigenvectors=q, n=n)
 
@@ -135,25 +144,16 @@ class PeakReport:
     best: tuple[float, float]
 
 
-def _refine_peak(fid, dfid, t0: float, h0: float, lo: float, hi: float) -> tuple[float, float]:
-    # fid(t) is F, dfid(t) is (F', F'').  Climb from t0 in steps of h0 until
-    # neither neighbour is higher: F then peaks inside [t - h0, t + h0].  A
+def _refine_peak(
+    fid, dfid, t0: float, k: int, h0: float, lo: float, hi: float
+) -> tuple[float, float]:
+    # fid(t) is F, dfid(t) is (F', F'').  The coarse samples climb from t0 to
+    # t = t0 + k*h0 and fall after it, so F peaks inside [t - h0, t + h0].  A
     # Newton step on F' is taken while F'' < 0 and it stays in that bracket,
     # which shrinks to the last point on each side of the peak; otherwise the
     # bracket is bisected.  A step below 64 ulps of t + h0 ends the search:
     # the rounding of the phases lam*t leaves F' no more precise than that.
-    # Climb points are t0 + k*h0, so a point visited again is a cache hit.
-    f = cache(fid)
-    at = lambda k: min(max(t0 + k * h0, lo), hi)
-    k = 0
-    while True:
-        fm, f0, fp = f(at(k - 1)), f(at(k)), f(at(k + 1))
-        if fp > f0 and fp >= fm:
-            k += 1
-        elif fm > f0:
-            k -= 1
-        else:
-            break
+    at = lambda j: min(max(t0 + j * h0, lo), hi)
     a, t, b = at(k - 1), at(k), at(k + 1)
     tol = 64 * np.finfo(float).eps * (abs(t) + h0)
     while True:
@@ -170,7 +170,7 @@ def _refine_peak(fid, dfid, t0: float, h0: float, lo: float, hi: float) -> tuple
         if abs(dx) <= tol:
             break
         t += dx
-    return t, f(t)
+    return t, fid(t)
 
 
 def envelope_scan(
@@ -183,12 +183,16 @@ def envelope_scan(
     """Coarse fidelity scan with refinement of every new running-max record.
 
     A coarse sample beating the running maximum (which includes all refined
-    values so far) triggers refinement: a climb in steps of coarse_step to a
-    local maximum, then safeguarded Newton on F' with F' and F'' in closed
-    form, from one exp and one (3 x n)(n) product per tau.  The refined F is
-    abs(c @ exp(-i lam tau))**2 with c_k = Q[u, k] Q[v, k].  The envelope
-    output is the running maximum on a logarithmically thinned grid of about
-    _ENVELOPE_POINTS samples, evaluated only there.
+    values so far) triggers refinement: the coarse samples climb from it to
+    the first sample whose successor is no higher, and safeguarded Newton on
+    F' then searches one coarse step on either side of that sample, with F'
+    and F'' in closed form, from one exp and one (3 x n)(n) product per tau.
+    The refined F is abs(c @ exp(-i lam tau))**2 with c_k = Q[u, k] Q[v, k],
+    one evaluation per refinement.  The envelope output is the running
+    maximum on a logarithmically thinned grid of about _ENVELOPE_POINTS
+    samples, evaluated only there: the coarse part comes from the maxima of
+    the segments that end at each kept sample, and only a segment whose
+    maximum beats the running maximum before it is searched for records.
 
     The coarse curve comes from a phase table.  Sample i = q*B + r (B =
     _PHASE_BLOCK) has amplitude sum_k T[r, k] R[q, k] with T[r, k] =
@@ -197,8 +201,9 @@ def envelope_scan(
     (B + N/B) n complex exponentials instead of N n.  Block q's B amplitudes
     are one (B x n)(n) product T R[q], the same shape in every chunk, so each
     value depends on i alone and the report does not depend on _CHUNK_SIZE;
-    against the direct exp(-i lam_k i dt) it differs by phase rounding of
-    order eps*max|lam|*tau.
+    a climb that reaches the end of a chunk reads the next block the same
+    way.  Against the direct exp(-i lam_k i dt) a sample differs by phase
+    rounding of order eps*max|lam|*tau.
     coarse_step, tau_max/coarse_step, max|lam|*tau_max and lam^2*c must be
     finite and the sample count must fit in int64, else ValueError.
     """
@@ -212,7 +217,8 @@ def envelope_scan(
         raise ValueError(f"{n_samples} samples do not fit in int64")
 
     # geomspace ends exactly at 1 and n_samples, so keep holds 0 and n_samples - 1
-    keep = np.unique(np.round(np.geomspace(1, n_samples, _ENVELOPE_POINTS)).astype(int) - 1)
+    keep = np.sort(np.round(np.geomspace(1, n_samples, _ENVELOPE_POINTS)).astype(int) - 1)
+    keep = keep[np.concatenate(([True], keep[1:] != keep[:-1]))]
 
     neg_i_lam = -1j * sys.eigenvalues
     c = sys.eigenvectors[u - 1] * sys.eigenvectors[v - 1]
@@ -232,6 +238,31 @@ def envelope_scan(
         ac = a.conjugate()
         return 2.0 * (ac * da).real, 2.0 * (abs(da) ** 2 + (ac * dda).real)
 
+    def coarse(lo, hi):
+        # F at samples lo..hi-1 of the blocks they overlap
+        q0 = lo // _PHASE_BLOCK
+        blocks = np.arange(q0, (hi - 1) // _PHASE_BLOCK + 1)
+        rot = np.exp(np.outer(blocks * _PHASE_BLOCK * coarse_step, neg_i_lam)) * c
+        amp = np.empty((len(blocks), _PHASE_BLOCK), dtype=complex)
+        for j, r in enumerate(rot):
+            # one (B x n)(n) product per block, whatever lo and hi: its shape is
+            # fixed, so BLAS sums every block in the same order.  One
+            # rot @ table.T would not be: its rounding changes with the row
+            # count, and the values would depend on _CHUNK_SIZE.
+            np.matmul(table, r, out=amp[j])
+        return np.abs(amp.ravel()[lo - q0 * _PHASE_BLOCK :][: hi - lo]) ** 2
+
+    def climb(f, start, g):
+        # the first sample at or after g whose successor is no higher; f holds
+        # samples start.. and a climb past its end reads the next block
+        while g + 1 < n_samples:
+            if g + 1 == start + len(f):
+                f, start = coarse(g, min(g + 1 + _PHASE_BLOCK, n_samples)), g
+            if f[g + 1 - start] <= f[g - start]:
+                break
+            g += 1
+        return g
+
     peaks: list[tuple[float, float]] = []
     ref_pos, ref_f = [], []  # sample position and F of each refinement
     kept_f, kept_max = [], []
@@ -239,40 +270,44 @@ def envelope_scan(
     carry = -np.inf  # max over the coarse samples at earlier times
     for start in range(0, n_samples, _CHUNK_SIZE):
         stop = min(start + _CHUNK_SIZE, n_samples)
-        q0 = start // _PHASE_BLOCK
-        blocks = np.arange(q0, (stop - 1) // _PHASE_BLOCK + 1)
-        rot = np.exp(np.outer(blocks * _PHASE_BLOCK * coarse_step, neg_i_lam)) * c
-        amp = np.empty((len(blocks), _PHASE_BLOCK), dtype=complex)
-        for j, r in enumerate(rot):
-            # one (B x n)(n) product per block, whatever the chunk: its shape is
-            # fixed, so BLAS sums every block in the same order.  One
-            # rot @ table.T per chunk would not be: its rounding changes with
-            # the row count, and the values would depend on _CHUNK_SIZE.
-            np.matmul(table, r, out=amp[j])
-        f = np.abs(amp.ravel()[start - q0 * _PHASE_BLOCK :][: stop - start]) ** 2
-        acc = np.maximum.accumulate(f)
-        # a coarse record triggers refinement unless best_f already reaches it;
-        # best_f is at least every earlier sample, so sample 0 is always a candidate
-        records = np.concatenate(([0], np.flatnonzero(f[1:] > acc[:-1]) + 1))
-        for i, f_i in zip(records.tolist(), f[records].tolist()):
-            if f_i <= best_f:
-                continue
-            t_i = (start + i) * coarse_step
-            t_ref, f_ref = _refine_peak(fid, dfid, t_i, coarse_step, 0.0, tau_max)
-            if f_ref < f_i:  # refinement may not undercut its trigger
-                t_ref, f_ref = t_i, f_i
-            # f_ref >= f_i > best_f >= every F so far: a record, and the top of its peak
-            if peaks and abs(t_ref - peaks[-1][0]) < coarse_step:
-                peaks[-1] = (t_ref, f_ref)
-            else:
-                peaks.append((t_ref, f_ref))
-            best_t, best_f = t_ref, f_ref
-            ref_pos.append(min(int(np.ceil(t_ref / coarse_step - 1e-9)), n_samples - 1))
-            ref_f.append(f_ref)
+        f = coarse(start, stop)
         sel = keep[np.searchsorted(keep, start) : np.searchsorted(keep, stop)]
+        # the segments of f that end at each kept sample, then the rest of f
+        bounds = np.concatenate(([0], sel - start + 1))
+        if bounds[-1] == len(f):
+            bounds = bounds[:-1]
+        seg_max = np.maximum.reduceat(f, bounds)
+        acc = np.maximum.accumulate(np.concatenate(([carry], seg_max)))
+        ends = np.append(bounds[1:], len(f)).tolist()
+        # best_f is at least every earlier sample, so a sample beating it is a
+        # record, and its left neighbour is lower: the climb only goes right
+        for s in np.flatnonzero(seg_max > acc[:-1]).tolist():
+            if seg_max[s] <= best_f:
+                continue
+            i = int(bounds[s])
+            while (hits := np.flatnonzero(f[i : ends[s]] > best_f)).size:
+                i += int(hits[0])
+                g, f_i = start + i, float(f[i])
+                t_i = g * coarse_step
+                p = climb(f, start, g)
+                t_ref, f_ref = _refine_peak(fid, dfid, t_i, p - g, coarse_step, 0.0, tau_max)
+                if f_ref < f_i:  # refinement may not undercut its trigger
+                    t_ref, f_ref, pos = t_i, f_i, g
+                else:
+                    # the first sample at or after t_ref, of the bracket's p - 1, p, p + 1
+                    pos = p - 1 + (t_ref > (p - 1) * coarse_step) + (t_ref > p * coarse_step)
+                # f_ref >= f_i > best_f >= every F so far: a record, and the top of its peak
+                if peaks and abs(t_ref - peaks[-1][0]) < coarse_step:
+                    peaks[-1] = (t_ref, f_ref)
+                else:
+                    peaks.append((t_ref, f_ref))
+                best_t, best_f = t_ref, f_ref
+                ref_pos.append(min(pos, n_samples - 1))
+                ref_f.append(f_ref)
+                i += 1
         kept_f.append(f[sel - start])
-        kept_max.append(np.maximum(acc[sel - start], carry))
-        carry = max(float(acc[-1]), carry)
+        kept_max.append(acc[1 : len(sel) + 1])
+        carry = float(acc[-1])
     # the running max at the kept samples: the coarse running max, raised by
     # each refined value from the first kept sample at or after its position
     running = np.concatenate(kept_max)

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 from fractions import Fraction
+from sys import float_info
 
 import numpy as np
 import pytest
@@ -302,6 +303,27 @@ def test_envelope_scan_is_chunk_invariant_on_a_larger_network(chunk_size, monkey
     assert a.envelope == b.envelope
 
 
+@pytest.mark.parametrize(
+    "build, u, v, tau_max",
+    [(build_ninesite, 2, 6, 50.0), (seeded_24_site_network, 1, 24, 200.0)],
+    ids=["ninesite", "seeded-24"],
+)
+def test_envelope_running_max_matches_a_brute_oracle(build, u, v, tau_max):
+    # the prefix max of the direct curve over every sample, raised by each
+    # refined peak at or before the kept tau
+    step = 0.02
+    sys = eigh(build())
+    report = envelope_scan(sys, u, v, tau_max, step)
+    taus = np.arange(report.samples) * step
+    prefix = np.maximum.accumulate(fidelity_curve(sys, u, v, taus))
+    lam_max = float(np.abs(sys.eigenvalues).max())
+    eps = np.finfo(float).eps
+    assert len(report.peaks) > 1
+    for tau, _, running in report.envelope:
+        ref = max([prefix[round(tau / step)]] + [f for t, f in report.peaks if t <= tau])
+        assert abs(running - ref) <= 64 * eps * (1 + tau * lam_max)
+
+
 def hill_climb_oracle(fid, t0, h0, lo, hi):
     # the refinement envelope_scan used before Newton on F': a climb with step
     # h, then iterated parabolic steps, until h falls below 1e-4 of h0
@@ -329,6 +351,23 @@ def hill_climb_oracle(fid, t0, h0, lo, hi):
     return t, f(t)
 
 
+def climb_oracle(fid, t0, h0, lo, hi):
+    # the climb envelope_scan made on direct F before it read the coarse
+    # samples: steps of h0 from t0 until neither neighbour is higher; returns
+    # the number of steps, so the peak is at t0 + k*h0
+    f = functools.cache(fid)
+    at = lambda k: min(max(t0 + k * h0, lo), hi)
+    k = 0
+    while True:
+        fm, f0, fp = f(at(k - 1)), f(at(k)), f(at(k + 1))
+        if fp > f0 and fp >= fm:
+            k += 1
+        elif fm > f0:
+            k -= 1
+        else:
+            return k
+
+
 # (network, u, v, tau_max, coarse_step) of the refinement checks
 REFINEMENT_SCANS = {
     "ninesite-20": (build_ninesite, 2, 6, 20.0, 0.02),
@@ -338,34 +377,51 @@ REFINEMENT_SCANS = {
 
 
 @functools.cache
-def refinement_scan(name):
-    """(eigensystem, report, per-trigger (t0, t, F, F evaluations, (F', F'') evaluations))."""
+def refinement_scan(name, chunk_size=walk._CHUNK_SIZE):
+    """(eigensystem, report, per-trigger (fid, t0, k, F evaluations, (F', F'') evaluations),
+    number of exponentials taken at a single tau anywhere in the scan)."""
     build, u, v, tau_max, step = REFINEMENT_SCANS[name]
     sys = eigh(build())
     calls = []
     refine = walk._refine_peak
+    real_exp = np.exp
+    single_tau = []
 
-    def counted(fid, dfid, t0, h0, lo, hi):
+    def counting_exp(x, *args, **kwargs):
+        # F and (F', F'') take one exp of the n phases at one tau; the coarse
+        # blocks take them as (blocks x n) tables
+        if np.ndim(x) == 1:
+            single_tau.append(x)
+        return real_exp(x, *args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("envelope_scan called a public fidelity function")
+
+    def counted(fid, dfid, t0, k, h0, lo, hi):
         asked, asked_d = [], []
         t, f = refine(
             lambda t: asked.append(t) or fid(t),
             lambda t: asked_d.append(t) or dfid(t),
-            t0, h0, lo, hi,
+            t0, k, h0, lo, hi,
         )
-        calls.append((t0, t, f, asked, asked_d))
+        calls.append((fid, t0, k, asked, asked_d))
         return t, f
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(walk, "_refine_peak", counted)
+        mp.setattr(walk, "_CHUNK_SIZE", chunk_size)
+        mp.setattr(walk, "fidelity", refuse)
+        mp.setattr(walk, "fidelity_curve", refuse)
+        mp.setattr(np, "exp", counting_exp)
         report = envelope_scan(sys, u, v, tau_max, step)
-    return sys, report, calls
+    return sys, report, calls, len(single_tau)
 
 
 @pytest.mark.parametrize("name", REFINEMENT_SCANS)
 def test_refined_peaks_match_the_hill_climb_oracle(name, monkeypatch):
     build, u, v, tau_max, step = REFINEMENT_SCANS[name]
-    sys, report, _ = refinement_scan(name)
-    oracle_refine = lambda fid, dfid, t0, h0, lo, hi: hill_climb_oracle(fid, t0, h0, lo, hi)
+    sys, report, _, _ = refinement_scan(name)
+    oracle_refine = lambda fid, dfid, t0, k, h0, lo, hi: hill_climb_oracle(fid, t0, h0, lo, hi)
     monkeypatch.setattr(walk, "_refine_peak", oracle_refine)
     oracle = envelope_scan(sys, u, v, tau_max, step)
     assert len(report.peaks) == len(oracle.peaks) > 1
@@ -380,7 +436,7 @@ def test_refined_peaks_are_stationary_maxima(name):
     # Newton stops within 64 ulps of t + step of the root of F'; F' and F''
     # here come from a separate sum over the eigenbasis
     _, u, v, tau_max, step = REFINEMENT_SCANS[name]
-    sys, report, _ = refinement_scan(name)
+    sys, report, _, _ = refinement_scan(name)
     lam = sys.eigenvalues
     c = sys.eigenvectors[u - 1] * sys.eigenvectors[v - 1]
     eps = np.finfo(float).eps
@@ -397,21 +453,46 @@ def test_refined_peaks_are_stationary_maxima(name):
         assert fidelity(sys, u, v, t - delta) <= f >= fidelity(sys, u, v, t + delta)
 
 
+def assert_newton_evaluations_only(calls, single_tau_exps):
+    # the climb reads the coarse samples: Newton needs a few (F', F'')
+    # evaluations and one F at its end, and the scan evaluates nothing else at
+    # a single tau
+    assert calls
+    for _, _, _, asked, asked_d in calls:
+        assert len(asked) == 1
+        assert len(asked_d) == len(set(asked_d)) <= 8
+    assert single_tau_exps == sum(len(asked) + len(asked_d) for *_, asked, asked_d in calls)
+
+
 @pytest.mark.parametrize("name", REFINEMENT_SCANS)
 def test_refinement_evaluations_stay_within_the_climb_moves(name):
-    # the climb makes one F evaluation per move after its first three points;
-    # Newton then needs a few (F', F'') evaluations and one F at its end
-    _, _, _, _, step = REFINEMENT_SCANS[name]
-    _, _, calls = refinement_scan(name)
-    assert calls
-    for t0, t, f, asked, asked_d in calls:
-        moves = round(abs(t - t0) / step) + 1
-        assert len(asked) == len(set(asked)) <= moves + 4
-        assert len(asked_d) == len(set(asked_d)) <= 8
+    assert_newton_evaluations_only(*refinement_scan(name)[2:])
+
+
+@pytest.mark.parametrize(
+    "name, chunk_size", [("ninesite-20", 1), ("ninesite-20", 137), ("seeded-24", 137)]
+)
+def test_refinements_evaluate_no_f_at_chunk_edges(name, chunk_size):
+    # a climb that reaches the end of a chunk reads the next block, not F
+    _, report, calls, single_tau_exps = refinement_scan(name, chunk_size)
+    assert_newton_evaluations_only(calls, single_tau_exps)
+    _, whole, whole_calls, _ = refinement_scan(name)
+    assert [call[1:3] for call in calls] == [call[1:3] for call in whole_calls]
+    assert (report.peaks, report.envelope) == (whole.peaks, whole.envelope)
+
+
+@pytest.mark.parametrize("name", REFINEMENT_SCANS)
+def test_coarse_climb_ends_where_the_direct_climb_does(name):
+    _, _, _, tau_max, step = REFINEMENT_SCANS[name]
+    _, _, calls, _ = refinement_scan(name)
+    assert any(k > 0 for _, _, k, _, _ in calls)
+    for fid, t0, k, _, _ in calls:
+        assert climb_oracle(fid, t0, step, 0.0, tau_max) == k
 
 
 def test_refine_peak_finds_the_first_principal_peak():
-    # direct call: fid and dfid from fidelity's formula, each tau asked once
+    # direct call from the direct climb's end: fid and dfid from fidelity's
+    # formula, each tau asked once
     sys = eigh(build_ninesite())
     lam = sys.eigenvalues
     c = sys.eigenvectors[1] * sys.eigenvectors[5]
@@ -427,10 +508,12 @@ def test_refine_peak_finds_the_first_principal_peak():
         a, da, dda = np.sum(terms), np.sum(-1j * lam * terms), np.sum(-(lam**2) * terms)
         return 2 * (a.conjugate() * da).real, 2 * (abs(da) ** 2 + (a.conjugate() * dda).real)
 
-    t, f = _refine_peak(fid, dfid, 8.0, 0.02, 0.0, 20.0)
+    k = climb_oracle(lambda t: fidelity(sys, 2, 6, t), 8.0, 0.02, 0.0, 20.0)
+    t, f = _refine_peak(fid, dfid, 8.0, k, 0.02, 0.0, 20.0)
+    assert k == 1
     assert abs(t - 8.017018706487) < 1e-9
     assert f == fidelity(sys, 2, 6, t)
-    assert len(asked) == len(set(asked)) <= 4 + round(abs(t - 8.0) / 0.02)
+    assert asked == [t]
     assert len(asked_d) == len(set(asked_d)) <= 8
 
 
@@ -451,7 +534,8 @@ def test_envelope_scan_makes_no_exponential_per_sample(monkeypatch):
     monkeypatch.setattr(np, "exp", counting_exp)
     monkeypatch.setattr(walk, "fidelity", refuse)
     monkeypatch.setattr(walk, "fidelity_curve", refuse)
-    monkeypatch.setattr(walk, "_refine_peak", lambda fid, dfid, t0, h0, lo, hi: (t0, -np.inf))
+    keep_trigger = lambda fid, dfid, t0, k, h0, lo, hi: (t0, -np.inf)
+    monkeypatch.setattr(walk, "_refine_peak", keep_trigger)
     report = envelope_scan(sys, 2, 6, 50.0, 0.02)
     blocks = math.ceil(report.samples / _PHASE_BLOCK)
     assert sum(counted) == (_PHASE_BLOCK + blocks) * sys.n
@@ -573,6 +657,13 @@ def test_eigh_refuses_entries_outside_the_normal_float_range(onsite, coupling):
     net = Network(2, [onsite, 0], [(1, 2, coupling)])
     with pytest.raises(ValueError, match="outside the normal float range"):
         eigh(net)
+
+
+def test_eigh_accepts_entries_at_the_ends_of_the_normal_float_range():
+    # the range check runs on the converted floats, so the exact ends pass
+    lo, hi = Fraction(float_info.min), Fraction(float_info.max)
+    h = walk._hamiltonian_matrix(Network(2, [hi, 0], [(1, 2, -lo)]))
+    assert h.tolist() == [[float_info.max, -float_info.min], [-float_info.min, 0.0]]
 
 
 def test_eigenprojector_parity():
