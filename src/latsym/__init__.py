@@ -41,7 +41,7 @@ from .pgst import (
     parity_decompose,
     pgst_certificate,
 )
-from .polynomial import RationalFunction, RationalPoly, format_poly, resultant
+from .polynomial import RationalPoly, format_poly, resultant
 from .spectral import (
     ReductionMatrix,
     SpectralError,
@@ -134,7 +134,6 @@ __all__ = [
     "permanent",
     "total_unitary",
     "transition_probability",
-    "RationalFunction",
     "RationalPoly",
     "format_poly",
     "resultant",

@@ -66,13 +66,6 @@ def _write_csv(
         fh.writelines(line % row for row in rows)
 
 
-def _grid_count(tmax: float, step: float) -> float:
-    # floor(tmax/step) + 1 grid points, the count envelope_scan uses; inf when
-    # the ratio overflows, so that a cap refuses it
-    ratio = tmax / step
-    return math.floor(ratio + 1e-9) + 1 if math.isfinite(ratio) else math.inf
-
-
 def _load_network(path: str):
     return parse_network(Path(path).read_text())
 
@@ -161,13 +154,13 @@ def _cmd_scan_boundary(args) -> int:
 def _cmd_evolve(args) -> int:
     import numpy as np
 
-    from .walk import _check_taus, eigh
+    from .walk import _check_taus, _sample_count, eigh
 
     if not (0 < args.step < math.inf and args.tmax >= 0):
         raise ValueError("need step > 0 and tmax >= 0")
     net = _load_network(args.network)
     net.check_vertex(args.from_site)
-    n_rows = _grid_count(args.tmax, args.step)
+    n_rows = _sample_count(args.tmax, args.step)
     if n_rows * net.n > MAX_EVOLVE_VALUES:
         raise ValueError(
             f"grid has {n_rows} rows of {net.n} sites, more than the limit of "
@@ -195,13 +188,13 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_envelope(args) -> int:
-    from .walk import eigh, envelope_scan
+    from .walk import _sample_count, eigh, envelope_scan
 
     if not (0 < args.step < math.inf and args.tmax > 0):
         raise ValueError("need step > 0 and tmax > 0")
     net = _load_network(args.network)
     net.check_pair(args.u, args.v)
-    n_samples = _grid_count(args.tmax, args.step)
+    n_samples = _sample_count(args.tmax, args.step)
     if n_samples > MAX_ENVELOPE_SAMPLES:
         raise ValueError(
             f"grid has {n_samples} samples, more than the limit of {MAX_ENVELOPE_SAMPLES}"

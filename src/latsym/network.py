@@ -211,12 +211,17 @@ def attach(
 def has_swap_automorphism(net: Network, u: int, v: int) -> bool:
     """Is there a weight-preserving vertex permutation exchanging u and v?
 
-    Plain backtracking; candidates pruned on the (onsite, incident-weight
+    A swap makes u and v cospectral, so a pair that `is_cospectral` (which
+    checks the pair) refuses is answered from closed-walk counts.  Otherwise
+    plain backtracking; candidates pruned on the (onsite, incident-weight
     multiset) vertex invariant, which is preserved by any automorphism.  The
     invariants come from one pass over the edges, and vertices are grouped by
     hashing them, so the set-up is O(n + |E|) apart from sorting each weight list.
     """
-    net.check_pair(u, v)
+    from .spectral import is_cospectral  # spectral imports this module
+
+    if not is_cospectral(net, u, v):
+        return False
     n = net.n
     wt = net.coupling_map()
 

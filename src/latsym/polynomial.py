@@ -1,25 +1,22 @@
-"""Exact univariate polynomials and reduced rational functions over Q.
+"""Exact univariate polynomials over Q.
 
-`RationalPoly` and `RationalFunction` hold `fractions.Fraction` coefficients,
-but compute on an integer core of ascending lists of Python ints: one gcd
-(`_int_gcd`, a primitive PRS), exact division, the resultant (`_int_resultant`,
-a subresultant PRS), and the mod-p arithmetic of `is_irreducible`.
-Sums, products, the reduction of a `RationalFunction`, `poly_gcd` and
-`resultant` scale their inputs to integers, call that core and divide by one
-common denominator at the end; the spectral layer and the irreducibility test
-work on it directly, so `Fraction` appears only at the boundary.  No library
-code path computes a determinant or divides with remainder over Q.
+`RationalPoly` holds `fractions.Fraction` coefficients, but computes on an
+integer core of ascending lists of Python ints: one gcd (`_int_gcd`, a
+primitive PRS), exact division, the resultant (`_int_resultant`, a
+subresultant PRS), and the mod-p arithmetic of `is_irreducible`.  Products,
+`poly_gcd` and `resultant` scale their inputs to integers, call that core and
+divide by one common denominator at the end; the spectral layer and the
+irreducibility test work on it directly, so `Fraction` appears only at the
+boundary.  No library code path computes a determinant or divides with
+remainder over Q.
 
 Some public names have no caller in the library; each stays for a reason:
 - `det_fraction`, `poly_gcd` and `is_squarefree`: the benchmark's tracer
   (`perfbench/tracing.TRACED`) wraps them by name, which
   `tests/test_traced_names.py` pins, and the tests use them as oracles.
-- `RationalPoly` and `RationalFunction` arithmetic and `__call__`: the tests'
-  Schur-complement, point-value and reduction oracles.
 - `RationalPoly.__mul__`: the benchmark's certify check multiplies P+ P- P0.
 
-Everything here is exact: no floats enter unless the caller evaluates at a
-float/complex point.
+Everything here is exact: no floats enter.
 """
 
 from fractions import Fraction
@@ -76,17 +73,6 @@ class RationalPoly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        (a, s), (b, t) = _integer_coeffs(self), _integer_coeffs(other)
-        # a/s + b/t = (t*a + s*b)/(s*t)
-        return RationalPoly([Fraction(c, s * t) for c in _int_add([t * x for x in a], b, s)])
-
-    def __neg__(self) -> "RationalPoly":
-        return RationalPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "RationalPoly") -> "RationalPoly":
-        return self + (-other)
-
     def __mul__(self, other) -> "RationalPoly":
         if isinstance(other, (int, Fraction)):
             return RationalPoly([c * other for c in self.coeffs])
@@ -104,13 +90,6 @@ class RationalPoly:
         if lead == 1:
             return self
         return RationalPoly([c / lead for c in self.coeffs])
-
-    def __call__(self, x):
-        # Horner; exact for Fraction/int, floats/complex degrade gracefully
-        acc = 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + (c if isinstance(x, (int, Fraction)) else float(c))
-        return acc
 
     def __repr__(self) -> str:
         return f"RationalPoly({list(self.coeffs)!r})"
@@ -480,52 +459,3 @@ def resultant(p: RationalPoly, q: RationalPoly) -> Fraction:
     pc, s = _integer_coeffs(p)
     qc, t = _integer_coeffs(q)
     return Fraction(_int_resultant(pc, qc), s**n * t**m)
-
-
-class RationalFunction:
-    """Quotient num/den, always reduced, denominator monic."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: RationalPoly, den: RationalPoly = RationalPoly([1])):
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        # num/den = (t*n)/(s*m) for the integer forms s*num = n, t*den = m
-        (n, s), (m, t) = _integer_coeffs(num), _integer_coeffs(den)
-        g = _int_gcd(n, m)
-        n, m = _int_exact_div(n, g), _int_exact_div(m, g)
-        self.num = RationalPoly([Fraction(t * c, s * m[-1]) for c in n])
-        self.den = RationalPoly([Fraction(c, m[-1]) for c in m])
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __call__(self, x):
-        return self.num(x) / self.den(x)
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self.num!r}, {self.den!r})"
-
-    def __str__(self) -> str:
-        if self.den.degree == 0 and self.den[0] == 1:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"

@@ -47,11 +47,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .network import Network, has_swap_automorphism
 from .polynomial import (
-    RationalFunction,
     RationalPoly,
     _int_add,
     _int_exact_div,
@@ -244,27 +243,33 @@ def singlet_sites(net: Network, u: int, v: int) -> frozenset[int]:
     return _walk_singlets(net, u, v)
 
 
+class ReducedEntry(NamedTuple):
+    """An entry num/den of the reduction in lowest terms, den monic."""
+
+    num: RationalPoly
+    den: RationalPoly
+
+
 @dataclass(frozen=True)
 class ReductionMatrix:
     """2x2 reduction with equal diagonal entries a and equal off-diagonals b."""
 
-    a: RationalFunction
-    b: RationalFunction
+    a: ReducedEntry
+    b: ReducedEntry
 
 
 def isospectral_reduction(net: Network, u: int, v: int) -> ReductionMatrix:
     """Reduce H onto the pair {u, v}: R(lam) = H_SS - H_SC (H_CC - lam I)^-1 H_CS.
 
-    Entries come out as fully reduced rational functions in lam:
-    a = (lam*D - phi(G - v))/D and b = A_uv/D with D = phi(G - {u, v}), from
-    the Jacobi identity phi(G - v)^2 - A_uv^2 = phi(G) D.  D is an exact
-    division in Z[mu]: scaled by d^(2n-2), the identity divides the monic
-    d^n phi(G) into the squares of the adjugate entries, with quotient d^(n-2) D.
-    The numerator of a is formed there too, as mu*d^(n-2) D - d^(n-1) phi(G - v)
-    = d^(n-1) (lam*D - phi(G - v)); both terms are monic of degree n - 1, so it
-    has lower degree but still converts to lam with scale d^(n-1).  Equal
-    diagonal entries are required (they are equal exactly when the pair is
-    cospectral); otherwise this raises.
+    Entries come out in lowest terms: a = (lam*D - phi(G - v))/D and
+    b = A_uv/D with D = phi(G - {u, v}), from the Jacobi identity
+    phi(G - v)^2 - A_uv^2 = phi(G) D.  Scaled by d^(2n-2), the identity divides
+    the monic d^n phi(G) into the squares of the adjugate entries exactly in
+    Z[mu], with quotient d^(n-2) D, monic.  Both numerators carry the scale
+    d^(n-1): mu*d^(n-2) D - d^(n-1) phi(G - v) for a, the adjugate entry for b.
+    One gcd with d^(n-2) D in Z[mu], monic because D is, reduces each, and its
+    degree comes off both scales before the one conversion to lam.  The pair
+    must be cospectral (equal diagonal entries); otherwise this raises.
     """
     pair = _pair_polys(net, u, v)
     if pair is None:
@@ -272,11 +277,17 @@ def isospectral_reduction(net: Network, u: int, v: int) -> ReductionMatrix:
             "reduction is not bisymmetric for this pair (the pair is not cospectral)"
         )
     sq = _int_add(_int_mul(pair.phi, pair.phi), _int_mul(pair.a_uv, pair.a_uv), -1)
-    d_mu, deg = _int_exact_div(sq, pair.phi_g), len(pair.phi) - 1
-    den = _lam_poly(d_mu, pair.d)
+    d_mu = _int_exact_div(sq, pair.phi_g)
+
+    def reduced(num: list[int]) -> ReducedEntry:
+        g = _int_gcd(num, d_mu)
+        den = _int_exact_div(d_mu, g)  # len(den) = n - 1 - deg g, num's scale
+        return ReducedEntry(
+            _lam_poly(_int_exact_div(num, g), pair.d, len(den)), _lam_poly(den, pair.d)
+        )
+
     return ReductionMatrix(
-        a=RationalFunction(_lam_poly(_int_add([0, *d_mu], pair.phi, -1), pair.d, deg), den),
-        b=RationalFunction(_lam_poly(pair.a_uv, pair.d, deg), den),
+        a=reduced(_int_add([0, *d_mu], pair.phi, -1)), b=reduced(pair.a_uv)
     )
 
 
@@ -288,7 +299,7 @@ def reduction_charpoly(red: ReductionMatrix) -> RationalPoly:
     ((a_n - lam*a_d)^2 b_d^2 - b_n^2 a_d^2)/(a_d^2 b_d^2), reduced by one gcd.
     """
 
-    def integer_form(f: RationalFunction) -> tuple[list[int], list[int]]:
+    def integer_form(f: ReducedEntry) -> tuple[list[int], list[int]]:
         (num, s), (den, t) = _integer_coeffs(f.num), _integer_coeffs(f.den)
         return [t * c for c in num], [s * c for c in den]
 

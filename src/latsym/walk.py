@@ -94,6 +94,19 @@ def _check_taus(sys: EigenSystem, taus) -> None:
         raise ValueError("tau must be finite, and so must max|lam| * |tau|")
 
 
+def _sample_count(tau_max: float, step: float) -> float:
+    """Samples 0, step, 2*step, ... up to tau_max: floor(tau_max/step) + 1.
+
+    A ratio within 1e-9 of a step below an integer counts that sample too, so
+    a step that rounding leaves a hair short still reaches tau_max, and the
+    last sample may pass tau_max by at most 1e-9 of a step (11 samples for
+    tau_max = 0.99999999995, step = 0.1).  inf when the ratio overflows, so
+    that a cap on the count refuses it.
+    """
+    ratio = tau_max / step
+    return math.floor(ratio + 1e-9) + 1 if math.isfinite(ratio) else math.inf
+
+
 def evolve(sys: EigenSystem, tau: float, psi0: np.ndarray) -> np.ndarray:
     """psi(tau) = Q exp(-i Lambda tau) Q^T psi0."""
     _check_taus(sys, tau)
@@ -212,7 +225,7 @@ def envelope_scan(
     if not (np.isfinite(coarse_step) and np.isfinite(tau_max / coarse_step)):
         raise ValueError("coarse_step and tau_max/coarse_step must be finite")
     _check_sites(sys, u, v)
-    n_samples = int(np.floor(tau_max / coarse_step + 1e-9)) + 1
+    n_samples = _sample_count(tau_max, coarse_step)
     if n_samples > np.iinfo(np.int64).max:
         raise ValueError(f"{n_samples} samples do not fit in int64")
 

@@ -192,6 +192,27 @@ def test_evolve_writes_probability_table(chain2_file, tmp_path, capsys):
         assert sum(vals[1:]) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_one_sample_count_rule_for_cli_grids_and_envelope_scan(net_file, tmp_path, capsys):
+    from latsym.walk import _sample_count, eigh, envelope_scan
+
+    # the benchmark's evolve command and dynamics scan, and a ratio 5e-10 of a
+    # step short of 10, which counts its 11th sample at tau = 1.0 > tau_max
+    assert _sample_count(999.9, 0.1) == 10_000
+    assert _sample_count(99_999 * 0.05, 0.05) == 10**5
+    assert _sample_count(0.99999999995, 0.1) == 11
+    assert _sample_count(1e300, 1e-300) == math.inf
+    out = tmp_path / "probs.csv"
+    argv = ["evolve", net_file, "--from", "2", "--tmax", "999.9", "--step", "0.1"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "wrote 10000 rows to " + str(out) + "\n"
+    assert len(out.read_text().splitlines()) == 10_001
+    sys_ = eigh(build_ninesite())
+    assert envelope_scan(sys_, 2, 6, 99_999 * 0.05, 0.05).samples == 10**5
+    report = envelope_scan(sys_, 2, 6, 0.99999999995, 0.1)
+    assert report.samples == 11
+    assert 0.99999999995 < report.envelope[-1][0] <= 0.99999999995 + 1e-9 * 0.1
+
+
 def test_csv_rows_match_per_value_g17_formatting(tmp_path):
     # the one-% row format against the per-value _g17 loop it replaced
     values = [0.0, -0.0, 1.0, -1.5, 0.1, 1 / 3, 2.0**-1074, 5e-324, 1.7976931348623157e308,

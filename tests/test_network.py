@@ -179,6 +179,21 @@ def test_swap_automorphism_path_ends():
     assert not has_swap_automorphism(net, 1, 2)
 
 
+def test_swap_search_is_not_entered_for_a_pair_that_is_not_cospectral(monkeypatch):
+    # sites 2 and 3 of P5 share every vertex invariant (on-site 0, couplings 1, 1),
+    # but phi(P1) phi(P3) != phi(P2)^2, so the closed-walk counts decide the pair
+    net = path_network(5)
+    assert not is_cospectral(net, 2, 3)
+
+    def refuse(self):
+        raise AssertionError("swap search entered for a pair that is not cospectral")
+
+    monkeypatch.setattr(Network, "coupling_map", refuse)
+    assert not has_swap_automorphism(net, 2, 3)
+    with pytest.raises(NetworkError):
+        has_swap_automorphism(net, 2, 2)
+
+
 def test_swap_automorphism_respects_weights():
     # same shape as the symmetric path, weights break the mirror
     net = Network(3, [0, 0, 0], [(1, 2, Fraction(1)), (2, 3, Fraction(2))])

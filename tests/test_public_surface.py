@@ -45,7 +45,6 @@ ALL = [
     "permanent",
     "total_unitary",
     "transition_probability",
-    "RationalFunction",
     "RationalPoly",
     "format_poly",
     "resultant",

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import oracles
 from latsym import spectral
 from latsym.network import Network
 from latsym.ninesite import build_ninesite
 from latsym.pgst import pgst_certificate
-from latsym.polynomial import RationalFunction, RationalPoly, _lam_poly, det_fraction
+from latsym.polynomial import RationalPoly, _lam_poly, det_fraction
 from latsym.spectral import (
+    ReducedEntry,
     ReductionMatrix,
     SpectralError,
     _adjugate,
@@ -103,7 +105,7 @@ def test_char_poly_matches_direct_determinant():
                 [(x if i == j else Fraction(0)) - h[i][j] for j in range(net.n)]
                 for i in range(net.n)
             ]
-            assert p(x) == det_fraction(shifted)
+            assert oracles.evaluate(p, x) == det_fraction(shifted)
 
 
 def test_char_poly_of_disjoint_parts_multiplies():
@@ -291,16 +293,16 @@ def test_singlet_sites_requires_cospectral_pair():
 def test_reduction_two_site_network():
     net = path_network(2, k=Fraction(3, 5))
     red = isospectral_reduction(net, 1, 2)
-    assert red.a == RationalFunction(RationalPoly([0]))
-    assert red.b == RationalFunction(RationalPoly([Fraction(3, 5)]))
+    assert red.a == (RationalPoly([0]), RationalPoly([1]))
+    assert red.b == (RationalPoly([Fraction(3, 5)]), RationalPoly([1]))
 
 
 def test_reduction_three_site_path():
     red = isospectral_reduction(path_network(3), 1, 3)
-    lam_inv = RationalFunction(RationalPoly([1]), RationalPoly([0, 1]))
+    lam_inv = (RationalPoly([1]), RationalPoly([0, 1]))
     assert red.a == lam_inv
     assert red.b == lam_inv
-    assert red.a(Fraction(2)) == Fraction(1, 2)
+    assert oracles.rf_evaluate(red.a, Fraction(2)) == Fraction(1, 2)
 
 
 def test_reduction_rejects_non_cospectral_pair():
@@ -335,10 +337,11 @@ def test_ninesite_reduction_frozen_coefficients():
 def test_ninesite_reduction_frozen_point_values():
     # these four values were re-derived by hand from the closed-form entries
     red = isospectral_reduction(build_ninesite(), 2, 6)
-    assert red.a(Fraction(1)) == Fraction(-1195623423, 513237500)
-    assert red.b(Fraction(1)) == Fraction(-1494943533, 513237500)
-    assert red.a(Fraction(2)) == Fraction(105996663423, 331036025000)
-    assert red.b(Fraction(2)) == Fraction(9466558533, 331036025000)
+    at = oracles.rf_evaluate
+    assert at(red.a, Fraction(1)) == Fraction(-1195623423, 513237500)
+    assert at(red.b, Fraction(1)) == Fraction(-1494943533, 513237500)
+    assert at(red.a, Fraction(2)) == Fraction(105996663423, 331036025000)
+    assert at(red.b, Fraction(2)) == Fraction(9466558533, 331036025000)
 
 
 def test_reduction_preserves_point_spectrum():
@@ -356,9 +359,10 @@ def test_reduction_charpoly_three_site():
 
 
 def rational_function_charpoly(red):
-    """reduction_charpoly by RationalFunction arithmetic: its test oracle."""
-    lam = RationalFunction(RationalPoly([0, 1]))
-    return ((red.a - lam) * (red.a - lam) - red.b * red.b).num.monic()
+    """reduction_charpoly by the oracle's rational-function arithmetic."""
+    shifted = oracles.rf_sub(red.a, oracles.reduced(oracles.LAM))
+    det = oracles.rf_sub(oracles.rf_mul(shifted, shifted), oracles.rf_mul(red.b, red.b))
+    return det[0].monic()
 
 
 def test_reduction_charpoly_matches_rational_function_arithmetic(oracle_networks):
@@ -373,20 +377,20 @@ def test_reduction_charpoly_matches_rational_function_arithmetic(oracle_networks
     # unequal denominators and a zero off-diagonal, beyond what isospectral_reduction gives
     reds += [
         ReductionMatrix(
-            RationalFunction(RationalPoly([1, Fraction(2, 3)]), RationalPoly([3, 0, 2])),
-            RationalFunction(RationalPoly([Fraction(-1, 2)]), RationalPoly([-1, 5])),
+            ReducedEntry(RationalPoly([1, Fraction(2, 3)]), RationalPoly([3, 0, 2])),
+            ReducedEntry(RationalPoly([Fraction(-1, 2)]), RationalPoly([-1, 5])),
         ),
         ReductionMatrix(
-            RationalFunction(RationalPoly([Fraction(7, 4), 0, 1]), RationalPoly([0, 1])),
-            RationalFunction(RationalPoly()),
+            ReducedEntry(RationalPoly([Fraction(7, 4), 0, 1]), RationalPoly([0, 1])),
+            ReducedEntry(RationalPoly(), RationalPoly([1])),
         ),
     ]
     assert len(reds) >= 12
     for red in reds:
         assert reduction_charpoly(red).coeffs == rational_function_charpoly(red).coeffs
-    lam = RationalFunction(RationalPoly([0, 1]))
+    lam = ReducedEntry(oracles.LAM, RationalPoly([1]))
     with pytest.raises(SpectralError, match="identically zero"):
-        reduction_charpoly(ReductionMatrix(lam, RationalFunction(RationalPoly())))
+        reduction_charpoly(ReductionMatrix(lam, ReducedEntry(RationalPoly(), RationalPoly([1]))))
 
 
 def test_strong_cospectrality():
@@ -471,25 +475,27 @@ def test_minor_engine_satisfies_jacobi_identity_against_cofactors(oracle_network
                      for i in range(n) if i not in drop_row]
                 )
 
-            assert phi(lam) == det_fraction(m)
+            assert oracles.evaluate(phi, lam) == det_fraction(m)
             deleted = [cofactor_det({w}, {w}) for w in range(n)]
             points.append((lam, deleted, cofactor_det))
         for i, j in itertools.product(range(n), repeat=2):
             # [adj M]_ij = (-1)^(i+j) det(M without row j and column i)
             adj_ij = entry(i, j)
             for lam, _, cofactor_det in points:
-                assert adj_ij(lam) == (-1) ** (i + j) * cofactor_det({j}, {i})
+                assert oracles.evaluate(adj_ij, lam) == (-1) ** (i + j) * cofactor_det({j}, {i})
         for u, v in itertools.combinations(range(1, n + 1), 2):
             phi_u, phi_v = entry(u - 1, u - 1), entry(v - 1, v - 1)
             a_uv = entry(u - 1, v - 1)
-            d = from_sympy(to_sympy(phi_u * phi_v - a_uv * a_uv).exquo(to_sympy(phi)))
-            assert phi_u * phi_v - a_uv * a_uv == phi * d
+            jacobi = oracles.sub(phi_u * phi_v, a_uv * a_uv)
+            d = from_sympy(to_sympy(jacobi).exquo(to_sympy(phi)))
+            assert jacobi == phi * d
+            at = oracles.evaluate
             for lam, deleted, cofactor_det in points:
-                assert phi_u(lam) == deleted[u - 1]
-                assert phi_v(lam) == deleted[v - 1]
-                assert d(lam) == cofactor_det({u - 1, v - 1}, {u - 1, v - 1})
+                assert at(phi_u, lam) == deleted[u - 1]
+                assert at(phi_v, lam) == deleted[v - 1]
+                assert at(d, lam) == cofactor_det({u - 1, v - 1}, {u - 1, v - 1})
                 # [adj M]_uv = (-1)^(u+v) det(M without row v and column u)
-                assert a_uv(lam) == (-1) ** (u + v) * cofactor_det({v - 1}, {u - 1})
+                assert at(a_uv, lam) == (-1) ** (u + v) * cofactor_det({v - 1}, {u - 1})
             pair = _pair_polys(net, u, v)
             assert (pair is not None) == (phi_u == phi_v)
             if pair is not None:
@@ -518,7 +524,7 @@ def test_exact_engine_at_extreme_couplings():
         p = char_poly(net)
         for lam in [Fraction(j * 10**6 + 1, 3) for j in range(-n, n + 1)] + [tiny, -tiny]:
             m = [[(lam if i == j else 0) - h[i][j] for j in range(n)] for i in range(n)]
-            assert p(lam) == det_fraction(m)
+            assert oracles.evaluate(p, lam) == det_fraction(m)
 
         def deleted(w, lam):
             return det_fraction(
@@ -579,8 +585,8 @@ def test_isospectral_reduction_matches_schur_complement(oracle_networks):
         # agreement at more than 2n points makes the rational functions equal
         checked = 0
         for lam, (r_uu, r_vv, r_uv) in values:
-            assert red.a(lam) == r_uu == r_vv
-            assert red.b(lam) == r_uv
+            assert oracles.rf_evaluate(red.a, lam) == r_uu == r_vv
+            assert oracles.rf_evaluate(red.b, lam) == r_uv
             checked += 1
         assert checked > 2 * net.n
     assert cospectral_pairs >= 7
@@ -640,7 +646,7 @@ def test_parity_factors_and_strong_cospectrality_match_the_reduction(oracle_netw
                 if w not in (u, v) and entry(u - 1, w - 1) == entry(v - 1, w - 1)
             }
             phi, a_uv = entry(v - 1, v - 1), entry(u - 1, v - 1)
-            d = from_sympy(to_sympy(phi * phi - a_uv * a_uv).exquo(to_sympy(phi_g)))
+            d = from_sympy(to_sympy(oracles.sub(phi * phi, a_uv * a_uv)).exquo(to_sympy(phi_g)))
 
             def lowest(num):
                 # sympy, not latsym's gcd engine, reduces num/D
@@ -650,8 +656,8 @@ def test_parity_factors_and_strong_cospectrality_match_the_reduction(oracle_netw
             strong = all(k == 1 for _, k in lowest(phi_g).sqf_list()[1])
             assert is_strongly_cospectral(net, u, v) == strong
             assert tuple(_lam_poly(p, pair.d) for p in pair.parity_factors) == (
-                from_sympy(lowest(phi - a_uv)),
-                from_sympy(lowest(phi + a_uv)),
+                from_sympy(lowest(oracles.sub(phi, a_uv))),
+                from_sympy(lowest(oracles.add(phi, a_uv))),
             )
             assert singlet_sites(net, u, v) == power_singlets(net, u, v, 2 * net.n)
             counts[strong] += 1
