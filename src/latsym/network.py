@@ -89,14 +89,6 @@ class Network:
             rows[j - 1].append((i - 1, a))
         return _IntegerForm(d, tuple(map(tuple, rows)))
 
-    def coupling_map(self) -> dict[tuple[int, int], Fraction]:
-        """Symmetric lookup table, both orientations present."""
-        m = {}
-        for i, j, w in self.edges:
-            m[(i, j)] = w
-            m[(j, i)] = w
-        return m
-
     def hamiltonian(self) -> list[list[Fraction]]:
         h = [[Fraction(0)] * self.n for _ in range(self.n)]
         for i, e in enumerate(self.onsite):
@@ -213,56 +205,46 @@ def has_swap_automorphism(net: Network, u: int, v: int) -> bool:
 
     A swap makes u and v cospectral, so a pair that `is_cospectral` (which
     checks the pair) refuses is answered from closed-walk counts.  Otherwise
-    plain backtracking; candidates pruned on the (onsite, incident-weight
-    multiset) vertex invariant, which is preserved by any automorphism.  The
-    invariants come from one pass over the edges, and vertices are grouped by
-    hashing them, so the set-up is O(n + |E|) apart from sorting each weight list.
+    site x may only go to a site y with (H_yy, (A^t e_v)[y], (A^t e_u)[y]) =
+    (H_xx, (A^t e_u)[x], (A^t e_v)[x]) for every t < n, A = dH: a swap sigma
+    keeps A, so (A^t)_ux = (A^t)_(v, sigma x).  The two walks are the walk
+    engine's.  Backtracking over these candidates, fewest first, keeps its
+    choices on an explicit stack and checks each new pair against the rows of
+    A of the sites already placed.
     """
-    from .spectral import is_cospectral  # spectral imports this module
+    from .spectral import _row_walk, is_cospectral  # spectral imports this module
 
     if not is_cospectral(net, u, v):
         return False
-    n = net.n
-    wt = net.coupling_map()
-
-    incident = [[] for _ in range(n + 1)]
-    for i, j, w in net.edges:
-        incident[i].append(w)
-        incident[j].append(w)
-    inv = {x: (net.onsite[x - 1], tuple(sorted(incident[x]))) for x in range(1, n + 1)}
-    if inv[u] != inv[v]:
-        return False
-
+    n, rows = net.n, net._integer_form.rows
+    u, v = u - 1, v - 1
+    from_u, from_v = (list(zip(*_row_walk(rows, w, n))) for w in (u, v))
     groups: dict[tuple, list[int]] = {}
-    for x in range(1, n + 1):
-        groups.setdefault(inv[x], []).append(x)
-    candidates = {x: groups[inv[x]] for x in range(1, n + 1)}
-    assigned = {u: v, v: u}
-    used = {u, v}
-    order = sorted(
-        (x for x in range(1, n + 1) if x not in assigned),
-        key=lambda x: len(candidates[x]),
-    )
+    for x in range(n):
+        groups.setdefault((net.onsite[x], from_u[x], from_v[x]), []).append(x)
+    candidates = [groups.get((net.onsite[x], from_v[x], from_u[x]), []) for x in range(n)]
+    sigma = {u: v, v: u}
+    image = {u, v}
+    order = sorted((x for x in range(n) if x not in sigma), key=lambda x: len(candidates[x]))
 
     def consistent(x: int, y: int) -> bool:
-        for a, b in assigned.items():
-            if wt.get((x, a), 0) != wt.get((y, b), 0):
-                return False
-        return True
+        return {(sigma[a], w) for a, w in rows[x] if a in sigma} == {
+            (b, w) for b, w in rows[y] if b in image
+        }
 
-    def backtrack(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        x = order[pos]
-        for y in candidates[x]:
-            if y in used or not consistent(x, y):
-                continue
-            assigned[x] = y
-            used.add(y)
-            if backtrack(pos + 1):
-                return True
-            del assigned[x]
-            used.discard(y)
-        return False
-
-    return backtrack(0)
+    tries = []  # tries[k]: the candidates of order[k] not yet tried
+    while len(sigma) < n:
+        k = len(sigma) - 2
+        if k == len(tries):
+            tries.append(iter(candidates[order[k]]))
+        x = order[k]
+        y = next((y for y in tries[k] if y not in image and consistent(x, y)), None)
+        if y is not None:
+            sigma[x] = y
+            image.add(y)
+            continue
+        tries.pop()
+        if not tries:
+            return False
+        image.discard(sigma.pop(order[k - 1]))
+    return True

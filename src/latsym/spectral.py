@@ -77,6 +77,16 @@ def _times_a(rows, y: list[int]) -> list[int]:
     return out
 
 
+def _row_walk(rows, i: int, n: int) -> list[list[int]]:
+    """The walk A^t e_i, t < n, from 0-based site i."""
+    y = [0] * len(rows)
+    y[i] = 1
+    walk = [y]
+    while len(walk) < n:
+        walk.append(_times_a(rows, walk[-1]))
+    return walk
+
+
 def _closed_walks(net: Network, w: int, j: int) -> tuple[int, ...]:
     """s_0, ..., s_m, m >= j, of 0-based site w: s_i = (A^i)_ww, A = d*H.
 
@@ -138,9 +148,7 @@ def _adjugate(
             seq = counts[i]
         else:
             if i not in walks:
-                walks[i] = [[int(w == i) for w in range(n)]]
-                while len(walks[i]) < n:
-                    walks[i].append(_times_a(rows, walks[i][-1]))
+                walks[i] = _row_walk(rows, i, n)
             seq = [x[j] for x in walks[i]]
         reads.append(_trim([sum(map(mul, cs[k::-1], seq)) for k in range(n - 1, -1, -1)]))
     return net._integer_form.d, cs[::-1], reads

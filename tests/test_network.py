@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import latsym.spectral
 from latsym.network import (
     Network,
     NetworkError,
@@ -44,9 +45,8 @@ def test_parse_rational_rejects(bad):
 def test_network_canonicalizes_edges():
     net = Network(3, [0, 0, 0], [(2, 1, Fraction(1, 2)), (3, 2, Fraction(1))])
     assert net.edges == ((1, 2, Fraction(1, 2)), (2, 3, Fraction(1)))
-    assert net.coupling_map()[(1, 2)] == Fraction(1, 2)
-    assert net.coupling_map()[(2, 1)] == Fraction(1, 2)
-    assert (1, 3) not in net.coupling_map()
+    assert (1, 2, Fraction(1, 2)) in net.edges  # given as (2, 1)
+    assert all((i, j) != (1, 3) for i, j, _ in net.edges)
 
 
 def test_network_drops_zero_weight_edges():
@@ -151,9 +151,9 @@ def test_attach_offsets_extension_ids():
     ext = path_network(2, k=Fraction(5))
     out = attach(base, [2], ext, [(2, 1, Fraction(7))])
     assert out.n == 5
-    assert out.coupling_map()[(4, 5)] == Fraction(5)  # ext edge shifted by 3
-    assert out.coupling_map()[(2, 4)] == Fraction(7)  # the bridge
-    assert out.coupling_map()[(1, 2)] == Fraction(1)
+    assert (4, 5, Fraction(5)) in out.edges  # ext edge shifted by 3
+    assert (2, 4, Fraction(7)) in out.edges  # the bridge
+    assert (1, 2, Fraction(1)) in out.edges
 
 
 def test_attach_empty_extension_is_identity():
@@ -180,16 +180,18 @@ def test_swap_automorphism_path_ends():
 
 
 def test_swap_search_is_not_entered_for_a_pair_that_is_not_cospectral(monkeypatch):
-    # sites 2 and 3 of P5 share every vertex invariant (on-site 0, couplings 1, 1),
-    # but phi(P1) phi(P3) != phi(P2)^2, so the closed-walk counts decide the pair
+    # sites 2 and 3 of P5 have the same on-site term and couplings (1, 1), but
+    # phi(P1) phi(P3) != phi(P2)^2, so the closed-walk counts decide the pair
     net = path_network(5)
     assert not is_cospectral(net, 2, 3)
 
-    def refuse(self):
+    def refuse(rows, i, n):
         raise AssertionError("swap search entered for a pair that is not cospectral")
 
-    monkeypatch.setattr(Network, "coupling_map", refuse)
+    monkeypatch.setattr(latsym.spectral, "_row_walk", refuse)
     assert not has_swap_automorphism(net, 2, 3)
+    with pytest.raises(AssertionError, match="swap search entered"):
+        has_swap_automorphism(net, 1, 5)  # a cospectral pair does enter it
     with pytest.raises(NetworkError):
         has_swap_automorphism(net, 2, 2)
 
@@ -218,6 +220,53 @@ def test_square_has_swaps():
     )
     assert has_swap_automorphism(square, 1, 3)
     assert has_swap_automorphism(square, 2, 4)
+
+
+def mirror_doubled_cubic(seed, m):
+    """Two copies of a seeded pairing-model cubic graph on m sites, joined by
+    the edge (1, 1 + m); exchanging the copies swaps 1 and 1 + m."""
+    rng = random.Random(seed)
+    while True:
+        points = [x for x in range(1, m + 1) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = {tuple(sorted(p)) for p in zip(points[::2], points[1::2])}
+        if len(pairs) == 3 * m // 2 and all(i != j for i, j in pairs):
+            break
+    edges = [(i + s, j + s, 1) for i, j in pairs for s in (0, m)]
+    return Network(2 * m, [0] * (2 * m), edges + [(1, 1 + m, 1)])
+
+
+@pytest.mark.parametrize("m", [20, 30])
+def test_swap_search_on_mirror_doubled_cubic_graphs(m):
+    # every site has the same on-site term and three unit couplings, so only
+    # the walk colours from 1 and 1 + m prune the search
+    assert has_swap_automorphism(mirror_doubled_cubic(1, m), 1, 1 + m)
+
+
+def test_swap_search_on_a_path_longer_than_the_recursion_limit():
+    # one call frame per placed site would raise RecursionError here at
+    # Python's default limit of 1000 frames
+    assert has_swap_automorphism(path_network(1100), 1, 1100)
+
+
+def test_swap_search_checks_couplings_beyond_walk_colours():
+    # the 4x4 rook's graph (sites 1..16) and the Shrikhande graph (17..32) are
+    # both strongly regular (16, 6, 2, 2): every site is cospectral with every
+    # other and walk colours match the two graphs site for site, but they are
+    # not isomorphic, so no swap crosses between them
+    cells = list(itertools.product(range(4), repeat=2))
+    shrikhande = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    edges = []
+    for (a, p), (b, q) in itertools.combinations(enumerate(cells, start=1), 2):
+        if p[0] == q[0] or p[1] == q[1]:
+            edges.append((a, b, 1))
+        if ((q[0] - p[0]) % 4, (q[1] - p[1]) % 4) in shrikhande:
+            edges.append((a + 16, b + 16, 1))
+    net = Network(32, [0] * 32, edges)
+    assert is_cospectral(net, 1, 17)
+    assert not has_swap_automorphism(net, 1, 17)
+    assert has_swap_automorphism(net, 1, 2)
+    assert has_swap_automorphism(net, 17, 32)
 
 
 def permute_network(net, perm):

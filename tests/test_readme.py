@@ -3,9 +3,11 @@
 Exact subcommands must print the README text byte for byte; `cert` up to its
 elided `notes:` line.  `envelope` and `correlate` print floats from a
 numerical search, which are compared to 1e-9 relative.  `intensities` reads
-the measurement file shown in the README's `csv` block.
+the measurement file shown in the README's `csv` block.  The `## Library`
+Python block runs too, and its `# result` comments are checked.
 """
 
+import ast
 import math
 import re
 import shlex
@@ -33,6 +35,7 @@ def readme_examples():
 
 EXAMPLES = readme_examples()
 RUN_CSV = re.search(r"```csv\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+LIBRARY = re.search(r"## Library\n\n```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
 
 
 def test_readme_has_examples_of_every_kind():
@@ -78,3 +81,24 @@ def test_readme_example(command, expected, tmp_path, monkeypatch, capsys):
         assert got.startswith(head + "notes: ")
     else:
         assert got == expected
+
+
+def test_readme_library_block(capsys):
+    """Each statement of the block runs in turn.  An expression statement with a
+    trailing comment must equal the comment's literal, or print its text."""
+    lines = LIBRARY.splitlines()
+    namespace, checked = {}, []
+    for stmt in ast.parse(LIBRARY).body:
+        want = lines[stmt.end_lineno - 1].partition("# ")[2].strip()
+        capsys.readouterr()
+        if not (isinstance(stmt, ast.Expr) and want):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        call = stmt.value
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "print":
+            assert capsys.readouterr().out == want + "\n"
+        else:
+            assert value == ast.literal_eval(want)
+        checked.append(want)
+    assert checked == ["True", "{4, 8, 9}", "LITERAL_CONDITION_FAILED"]
