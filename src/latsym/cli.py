@@ -43,8 +43,9 @@ MAX_EVOLVE_VALUES = 10_000_000
 # Rows per block that `evolve` computes and writes at a time.
 _EVOLVE_BLOCK_ROWS = 4096
 
-# Largest `envelope` grid, in samples.  On the nine-site network the scan takes
-# about 2.5 s for this many samples (2-core Xeon); a larger grid is refused before eigh runs.
+# Largest `envelope` grid, in samples.  On the nine-site network the command takes
+# about 1.2 s for this many samples from a fresh process, 0.9 s without start-up
+# (2-core Xeon); a larger grid is refused before eigh runs.
 MAX_ENVELOPE_SAMPLES = 10**8
 
 

@@ -5,13 +5,14 @@ numpy.linalg.eigh.  Site arguments are 1-based to match the network layer and
 must lie in 1..n; raw state vectors are plain 0-based numpy arrays.
 
 envelope_scan evaluates its coarse grid from a phase table: one block of
-exp(-i lam_k r dt) per call, rotated per block of _PHASE_BLOCK samples, so a
-long scan makes no complex exponential per sample, and each block's
-amplitudes are one BLAS matrix-vector product.  A record's climb to its peak
-reads the coarse samples the scan already holds; Newton's method on the
-analytic F' and F'' then refines that peak.  The running maximum at the kept
-samples comes from the maxima of the segments that end there, raised by the
-refined peaks in one pass after the scan.
+exp(-i lam_k r dt) per call, built from two short factors and rotated per
+block of _PHASE_BLOCK samples, so a long scan makes no complex exponential per
+sample, and each aligned batch of _BATCH_BLOCKS blocks is one fixed-shape BLAS
+matrix product.  A record's climb to its peak reads the coarse samples the
+scan already holds; Newton's method on the analytic F' and F'' then refines
+that peak.  The running maximum at the kept samples comes from the maxima of
+the segments that end there, raised by the refined peaks in one pass after
+the scan.
 """
 
 import math
@@ -142,6 +143,10 @@ def fidelity_curve(sys: EigenSystem, u: int, v: int, taus: np.ndarray) -> np.nda
 
 # Samples per phase-table block in envelope_scan.
 _PHASE_BLOCK = 512
+# Stride of envelope_scan's factored phase table: row r is big[r // 32] * small[r % 32].
+_PHASE_STRIDE = 32
+# Phase-table blocks per BLAS product in envelope_scan.
+_BATCH_BLOCKS = 64
 # Log-spaced samples kept in envelope_scan's thinned envelope.
 _ENVELOPE_POINTS = 2000
 # Coarse samples envelope_scan holds at a time; the report does not depend on it.
@@ -209,14 +214,21 @@ def envelope_scan(
 
     The coarse curve comes from a phase table.  Sample i = q*B + r (B =
     _PHASE_BLOCK) has amplitude sum_k T[r, k] R[q, k] with T[r, k] =
-    exp(-i lam_k r dt), built once per call, and R[q, k] = c_k exp(-i lam_k q B dt),
-    built per chunk for the blocks it overlaps.  N samples thus cost
-    (B + N/B) n complex exponentials instead of N n.  Block q's B amplitudes
-    are one (B x n)(n) product T R[q], the same shape in every chunk, so each
-    value depends on i alone and the report does not depend on _CHUNK_SIZE;
-    a climb that reaches the end of a chunk reads the next block the same
-    way.  Against the direct exp(-i lam_k i dt) a sample differs by phase
-    rounding of order eps*max|lam|*tau.
+    exp(-i lam_k r dt), built once per call as the product of
+    exp(-i lam_k (r // b) b dt) and exp(-i lam_k (r % b) dt) (b =
+    _PHASE_STRIDE), B/b + b rows of exponentials, and R[q, k] =
+    c_k exp(-i lam_k q B dt), built once per batch.  N samples thus cost
+    (B/b + b + N/B) n complex exponentials instead of N n.  Batch j holds
+    blocks jK..jK+K-1 (K = _BATCH_BLOCKS, counted from sample 0, rows past
+    the last block zero), and its K*B amplitudes are one (K x n)(n x B)
+    product R T^T into one reused buffer, which keeps the last batch
+    computed, so a batch is computed once as the scan moves right.  Every
+    product has that shape and block q is always row q mod K of batch
+    q // K, so each value depends on i alone and the report does not depend
+    on _CHUNK_SIZE; a climb that reaches the end of a chunk reads the batch
+    that holds the next block the same way.  Against the direct
+    exp(-i lam_k i dt) a sample differs by phase rounding of order
+    eps*max|lam|*tau.
     coarse_step, tau_max/coarse_step, max|lam|*tau_max and lam^2*c must be
     finite and the sample count must fit in int64, else ValueError.
     """
@@ -241,7 +253,11 @@ def envelope_scan(
     lam = sys.eigenvalues.tolist()
     if not math.isfinite(4 * sum(x * x * abs(y) for x, y in zip(lam, c.tolist()))):
         raise ValueError("lam^2 * c must be finite")
-    table = np.exp(np.outer(np.arange(_PHASE_BLOCK) * coarse_step, neg_i_lam))
+    # table[k, r] = exp(-i lam_k r dt) = big[k, r // b] small[k, r % b]: B/b + b columns of exps
+    b = _PHASE_STRIDE
+    big = np.exp(np.outer(neg_i_lam, np.arange(0, _PHASE_BLOCK, b) * coarse_step))
+    small = np.exp(np.outer(neg_i_lam, np.arange(b) * coarse_step))
+    table = (big[:, :, None] * small[:, None, :]).reshape(sys.n, _PHASE_BLOCK)
     fid = lambda t: float(abs(c @ np.exp(neg_i_lam * t)) ** 2)
     # rows of a, a' and a'' at t: F' = 2 Re(conj(a) a'), F'' = 2 (|a'|^2 + Re(conj(a) a''))
     rows = np.array([c, neg_i_lam * c, neg_i_lam**2 * c])
@@ -251,23 +267,34 @@ def envelope_scan(
         ac = a.conjugate()
         return 2.0 * (ac * da).real, 2.0 * (abs(da) ** 2 + (ac * dda).real)
 
+    span = _BATCH_BLOCKS * _PHASE_BLOCK
+    n_blocks = -(-n_samples // _PHASE_BLOCK)
+    rot = np.zeros((_BATCH_BLOCKS, sys.n), dtype=complex)  # rows past the last block stay 0
+    amp = np.empty((_BATCH_BLOCKS, _PHASE_BLOCK), dtype=complex)
+    held = -1  # the first sample of the batch amp holds
+
     def coarse(lo, hi):
-        # F at samples lo..hi-1 of the blocks they overlap
-        q0 = lo // _PHASE_BLOCK
-        blocks = np.arange(q0, (hi - 1) // _PHASE_BLOCK + 1)
-        rot = np.exp(np.outer(blocks * _PHASE_BLOCK * coarse_step, neg_i_lam)) * c
-        amp = np.empty((len(blocks), _PHASE_BLOCK), dtype=complex)
-        for j, r in enumerate(rot):
-            # one (B x n)(n) product per block, whatever lo and hi: its shape is
-            # fixed, so BLAS sums every block in the same order.  One
-            # rot @ table.T would not be: its rounding changes with the row
-            # count, and the values would depend on _CHUNK_SIZE.
-            np.matmul(table, r, out=amp[j])
-        return np.abs(amp.ravel()[lo - q0 * _PHASE_BLOCK :][: hi - lo]) ** 2
+        # F at samples lo..hi-1, from the batches they overlap.  A batch is one
+        # (K x n)(n x B) product whatever lo and hi, and sample i is always in
+        # row (i // B) % K of batch i // (K B), so each value depends on i alone.
+        nonlocal held
+        f = np.empty(hi - lo)
+        for first in range(lo - lo % span, hi, span):
+            if first != held:
+                q = first // _PHASE_BLOCK
+                blocks = np.arange(q, min(q + _BATCH_BLOCKS, n_blocks))
+                r = rot[: len(blocks)]
+                np.exp(np.outer(blocks * _PHASE_BLOCK * coarse_step, neg_i_lam), out=r)
+                r *= c
+                np.matmul(rot, table, out=amp)
+                held = first
+            i, j = max(lo, first), min(hi, first + span)
+            np.abs(amp.reshape(-1)[i - first : j - first], out=f[i - lo : j - lo])
+        return np.square(f, out=f)
 
     def climb(f, start, g):
         # the first sample at or after g whose successor is no higher; f holds
-        # samples start.. and a climb past its end reads the next block
+        # samples start.. and a climb past its end reads the batch of the next block
         while g + 1 < n_samples:
             if g + 1 == start + len(f):
                 f, start = coarse(g, min(g + 1 + _PHASE_BLOCK, n_samples)), g
@@ -359,7 +386,7 @@ def antisymmetric_confinement(
     _check_taus(sys, taus)
     coef = (sys.eigenvectors[u - 1] - sys.eigenvectors[v - 1]) / np.sqrt(2.0)
     phases = np.exp(-1j * np.outer(taus, sys.eigenvalues))
-    amps = (phases * coef) @ sys.eigenvectors[[s - 1 for s in sites]].T
+    amps = phases @ (coef[:, None] * sys.eigenvectors[[s - 1 for s in sites]].T)
     return float(np.abs(amps).max())
 
 

@@ -13,7 +13,9 @@ from latsym.network import Network
 from latsym.ninesite import SINGLET_SITES, build_ninesite
 from latsym.spectral import char_poly, is_strongly_cospectral
 from latsym.walk import (
+    _BATCH_BLOCKS,
     _PHASE_BLOCK,
+    _PHASE_STRIDE,
     _refine_peak,
     ConvergenceError,
     antisymmetric_confinement,
@@ -263,15 +265,31 @@ def test_envelope_rows_match_direct_fidelity_curve(oracle_networks, samples):
             assert abs(f - ref) <= 64 * eps * (1 + tau * lam_max)
 
 
+# samples per BLAS product in envelope_scan
+BATCH = _BATCH_BLOCKS * _PHASE_BLOCK
+
+
+def chunk_cases(short, chunk_sizes):
+    # (tau_max, chunk size) at step 0.02: the sizes on a scan within one batch,
+    # and on a scan whose third batch is partial the sizes but one sample,
+    # with one batch and one sample either side of it
+    long_sizes = [c for c in chunk_sizes if c > 1] + [BATCH - 1, BATCH, BATCH + 1]
+    return [pytest.param(short, c, id=str(c)) for c in chunk_sizes] + [
+        pytest.param(1400.0, c, id=f"{c}-three-batches") for c in long_sizes
+    ]
+
+
 @pytest.mark.parametrize(
-    "chunk_size", [1, _PHASE_BLOCK - 1, _PHASE_BLOCK, _PHASE_BLOCK + 1, 137]
+    "tau_max, chunk_size",
+    chunk_cases(50.0, [1, _PHASE_BLOCK - 1, _PHASE_BLOCK, _PHASE_BLOCK + 1, 137]),
 )
-def test_envelope_scan_is_chunk_invariant_across_block_edges(chunk_size, monkeypatch):
+def test_envelope_scan_is_chunk_invariant_across_block_edges(tau_max, chunk_size, monkeypatch):
     sys = eigh(build_ninesite())
-    a = envelope_scan(sys, 2, 6, 50.0, 0.02)
+    a = envelope_scan(sys, 2, 6, tau_max, 0.02)
     assert a.samples > 4 * _PHASE_BLOCK
+    assert a.samples < BATCH or 2 * BATCH < a.samples < 3 * BATCH - _PHASE_BLOCK
     monkeypatch.setattr(walk, "_CHUNK_SIZE", chunk_size)
-    b = envelope_scan(sys, 2, 6, 50.0, 0.02)
+    b = envelope_scan(sys, 2, 6, tau_max, 0.02)
     assert a.best == b.best
     assert a.peaks == b.peaks
     assert a.envelope == b.envelope
@@ -288,16 +306,18 @@ def seeded_24_site_network():
 
 
 @pytest.mark.parametrize(
-    "chunk_size", [1, _PHASE_BLOCK - 1, _PHASE_BLOCK + 1, 3 * _PHASE_BLOCK + 7]
+    "tau_max, chunk_size",
+    chunk_cases(80.0, [1, _PHASE_BLOCK - 1, _PHASE_BLOCK + 1, 3 * _PHASE_BLOCK + 7]),
 )
-def test_envelope_scan_is_chunk_invariant_on_a_larger_network(chunk_size, monkeypatch):
-    # each block's amplitudes are one fixed-shape BLAS product, whatever the chunk
+def test_envelope_scan_is_chunk_invariant_on_a_larger_network(tau_max, chunk_size, monkeypatch):
+    # each batch's amplitudes are one fixed-shape BLAS product, whatever the chunk
     n = 24
     sys = eigh(seeded_24_site_network())
-    a = envelope_scan(sys, 1, n, 80.0, 0.02)
+    a = envelope_scan(sys, 1, n, tau_max, 0.02)
     assert a.samples > 7 * _PHASE_BLOCK
+    assert a.samples < BATCH or 2 * BATCH < a.samples < 3 * BATCH - _PHASE_BLOCK
     monkeypatch.setattr(walk, "_CHUNK_SIZE", chunk_size)
-    b = envelope_scan(sys, 1, n, 80.0, 0.02)
+    b = envelope_scan(sys, 1, n, tau_max, 0.02)
     assert a.best == b.best
     assert a.peaks == b.peaks
     assert a.envelope == b.envelope
@@ -538,7 +558,7 @@ def test_envelope_scan_makes_no_exponential_per_sample(monkeypatch):
     monkeypatch.setattr(walk, "_refine_peak", keep_trigger)
     report = envelope_scan(sys, 2, 6, 50.0, 0.02)
     blocks = math.ceil(report.samples / _PHASE_BLOCK)
-    assert sum(counted) == (_PHASE_BLOCK + blocks) * sys.n
+    assert sum(counted) == (_PHASE_BLOCK // _PHASE_STRIDE + _PHASE_STRIDE + blocks) * sys.n
 
 
 def test_envelope_scan_first_principal_peak_regression():
