@@ -29,9 +29,10 @@ from .spectral import (
 )
 
 
-# Largest grid `scan-boundary` accepts.  Each point walks a new network (every
-# site's closed-walk counts and one row walk), then takes two exact gcds and one
-# resultant.  A larger grid is refused before any work rather than left running.
+# Largest grid `scan-boundary` accepts.  Each point walks a new network (the
+# pair's closed-walk counts and one walk of 2n - 1 steps from v), then runs two
+# Berlekamp-Massey passes and one resultant.  A larger grid is refused before
+# any work rather than left running.
 MAX_SCAN_POINTS = 10_000
 
 # Largest `evolve` grid, in rows times sites.  Rows are computed and written

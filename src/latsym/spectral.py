@@ -13,26 +13,33 @@ c_k = -(sum_(i<=k) c_(k-i) p_i)/k, an exact division, with the power sums
 p_i = tr A^i = sum_w s_i(w).  adj(mu*I - A) = d^(n-1) adj(lam*I - H) =
 sum B_k mu^(n-1-k) with B_k = sum_(j<=k) c_(k-j) A^j (Godsil, Algebraic
 Combinatorics, 1993), so `_adjugate` reads a diagonal entry off s_j(i) and
-entry (i, j) off the walk A^j e_i.  A cospectral pair (u, v) reads two:
-phi(G - v), which equals phi(G - u), and A_uv.  By
-Gauss's lemma the gcds of these with phi(G), and the quotients, are monic in
-Z[mu].  A polynomial scaled by d^m (m its degree, or n - 1 for an
-off-diagonal adjugate entry) becomes one in lam by dividing its coefficient
-of mu^i by d^(m-i).  The resultant of two monic polynomials of degrees m and
-k grows by d^(m*k), so it keeps its sign.
+entry (i, j) off the walk A^j e_i.  A polynomial scaled by d^m (m its degree,
+or n - 1 for an off-diagonal adjugate entry) becomes one in lam by dividing
+its coefficient of mu^i by d^(m-i).  The resultant of two monic polynomials of
+degrees m and k grows by d^(m*k), so it keeps its sign.
 
-Strong cospectrality.  With E_theta the eigenprojectors of H,
-G_vv +/- G_uv = (phi(G - v) +/- A_uv)/phi(G)
-              = sum_theta |E_theta (e_u +/- e_v)|^2/2 * 1/(lam - theta),
-so its reduced denominator P+/- = phi(G)/gcd(phi(G), phi(G - v) +/- A_uv) is
-the monic, square-free product of (lam - theta) over the theta with
-E_theta (e_u +/- e_v) != 0.  Write N+/- for the reduced numerator, coprime to
-P+/-.  By the Jacobi identity phi(G - u) phi(G - v) - A_uv^2 = phi(G) D, with
-D = phi(G - {u, v}), the reduction polynomial phi(G)/D is the reduced
-numerator of P+ P- / (N+ N-), so it has a double root exactly where P+ and P-
-share one.  Strong cospectrality is therefore resultant(P+, P-) != 0.  That
-test, P+/-, and the split of phi(G) into P+ P- P0 live in one place, the pair
-data `_pair_polys` returns; every caller in latsym reads them from there.
+Strong cospectrality.  With E_theta the eigenprojectors of H and
+x = e_u +/- e_v, G_vv +/- G_uv = sum_theta |E_theta x|^2/2 * 1/(lam - theta),
+so its reduced denominator P+/- is the monic, square-free product of
+(lam - theta) over the theta with E_theta x != 0.  For a cospectral pair
+(A^j)_uu = (A^j)_vv, so s+/-_j = (A^j)_vv +/- (A^j)_uv = x^T A^j x/2
+= sum_theta |E_theta x|^2/2 * (d theta)^j.  The weights are positive, so the
+minimal polynomial of the sequence is prod (mu - d theta) over exactly those
+theta: P+/- in mu, monic in Z[mu] because its roots are algebraic integers
+and its coefficients rational.  Its degree L is at most n, and
+Berlekamp-Massey (Massey, IEEE Trans. Inf. Theory 15, 1969) finds it from 2L
+terms, all read off one walk A^j e_v, j < 2n.  A simple theta has an
+eigenvector with q_u = +/-q_v, so it lies in at most one factor, and a theta
+of multiplicity m >= 2 adds at most 2 <= m to both degrees:
+deg P+ + deg P- <= n, so P+ needs only 2(n - deg P-) terms.  P+/- need no
+phi(G).  Write N+/- for the reduced numerator, coprime to P+/-,
+of (phi(G - v) +/- A_uv)/phi(G) = G_vv +/- G_uv.  By the Jacobi identity
+phi(G - u) phi(G - v) - A_uv^2 = phi(G) D, with D = phi(G - {u, v}), the
+reduction polynomial phi(G)/D is the reduced numerator of P+ P- / (N+ N-), so
+it has a double root exactly where P+ and P- share one.  Strong cospectrality
+is therefore resultant(P+, P-) != 0.  That test, P+/-, and the split of phi(G)
+into P+ P- P0 live in one place, the pair data `_pair_polys` returns; every
+caller in latsym reads them from there, and only the split reads phi(G).
 
 Cospectrality and singlets need no adjugate.  B_k is unitriangular in the
 powers, so adj_uw = adj_vw iff (A^j)_uw = (A^j)_vw for every j < n, w = u, v
@@ -46,6 +53,7 @@ inputs give bit-identical outputs.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -180,28 +188,70 @@ class ParityDecomposition:
     p_zero: RationalPoly
 
 
+def _min_poly(seq: Sequence[int]) -> list[int]:
+    """The monic minimal polynomial, ascending, of an integer sequence whose
+    linear complexity L has 2L <= len(seq): Berlekamp-Massey with no division.
+
+    c is the connection polynomial 1 + c_1 x + ... up to an integer factor, and
+    prev the one before the last length change, with discrepancy b; each
+    update b*c - d*x^m*prev stays in Z[x] and drops its content.  The minimal
+    polynomial x^L c(1/x) is monic in Z[x] for the sequences latsym reads, so
+    c_0 divides it exactly; where it does not, the division raises ValueError.
+    """
+    c, prev, b, length, m = [1], [1], 1, 0, 1
+    for k in range(len(seq)):
+        d = sum(map(mul, c, seq[k::-1]))
+        if d == 0:
+            m += 1
+            continue
+        new = [b * x for x in c] + [0] * (m + len(prev) - len(c))
+        for i, y in enumerate(prev, m):
+            new[i] -= d * y
+        g = gcd(*new)
+        new = _trim([x // g for x in new])
+        if 2 * length <= k:
+            prev, b, length, m = c, d, k + 1 - length, 1
+        else:
+            m += 1
+        c = new
+    c += [0] * (length + 1 - len(c))
+    return _int_exact_div(c[::-1], [c[0]])
+
+
 @dataclass(frozen=True)
 class _PairPolys:
-    """The adjugate entries of a cospectral pair (u, v), as integer polynomials
-    in mu = d*lam, and the parity data that every strong-cospectrality decision
-    reads from them."""
+    """A cospectral pair (u, v) of a network and the parity data every
+    strong-cospectrality decision reads from it: P+/-, their resultant and,
+    for a strongly cospectral pair, the split of phi(G), as integer
+    polynomials in mu = d*lam.  Only the split reads phi(G)."""
 
-    d: int
-    phi_g: list[int]  # phi(G), monic of degree n
-    phi: list[int]  # phi(G - u) = phi(G - v), monic of degree n - 1
-    a_uv: list[int]  # [adj(mu*I - A)]_uv, scaled by d^(n-1) like phi but of lower degree
+    net: Network
+    u: int
+    v: int
+
+    @property
+    def d(self) -> int:
+        return self.net._integer_form.d
 
     @cached_property
     def parity_factors(self) -> tuple[list[int], list[int]]:
-        """P+ and P- in mu, the reduced denominators of (phi(G - v) +/- A_uv)/phi(G).
+        """P+ and P- in mu: the minimal polynomials of s+/-_j = (A^j)_vv +/- (A^j)_uv.
 
-        phi(G) is monic, so each gcd, and each quotient, is monic in Z[mu].
+        Both sequences come off one walk y_j = A^j e_v, j < 2n, of which only
+        the entries u and v are kept.  P- reads all 2n terms; P+ reads
+        2(n - deg P-), since deg P+ + deg P- <= n (module docstring).
         """
-        plus, minus = (
-            _int_exact_div(self.phi_g, _int_gcd(self.phi_g, _int_add(self.phi, self.a_uv, s)))
-            for s in (1, -1)
-        )
-        return plus, minus
+        n, rows = self.net.n, self.net._integer_form.rows
+        u, v = self.u - 1, self.v - 1
+        y = [0] * n
+        y[v] = 1
+        plus, minus = [1], [1]
+        for _ in range(2 * n - 1):
+            y = _times_a(rows, y)
+            plus.append(y[v] + y[u])
+            minus.append(y[v] - y[u])
+        p_minus = _min_poly(minus)
+        return _min_poly(plus[: 2 * (n + 1 - len(p_minus))]), p_minus
 
     @cached_property
     def resultant(self) -> int:
@@ -221,22 +271,17 @@ class _PairPolys:
         if self.resultant == 0:
             return None
         p_plus, p_minus = self.parity_factors
-        p_zero = _int_exact_div(self.phi_g, _int_mul(p_plus, p_minus))
-        p_lam = (_lam_poly(p, self.d) for p in (p_plus, p_minus, p_zero))
-        return ParityDecomposition(*p_lam)
+        d, phi_g, _ = _adjugate(self.net)
+        p_zero = _int_exact_div(phi_g, _int_mul(p_plus, p_minus))
+        return ParityDecomposition(*(_lam_poly(p, d) for p in (p_plus, p_minus, p_zero)))
 
 
 def _pair_polys(net: Network, u: int, v: int) -> _PairPolys | None:
-    """The polynomials of a pair from one `_adjugate` call; None unless cospectral.
-
-    is_cospectral decides the pair from its closed-walk counts before the
-    engine runs.  phi(G - v) is the diagonal entry adj_vv, equal to adj_uu.
-    """
+    """The parity data of a pair; None unless cospectral, which is_cospectral
+    decides from the closed-walk counts before any walk of the pair's own."""
     if not is_cospectral(net, u, v):
         return None
-    i, j = u - 1, v - 1
-    d, phi_g, (phi, a_uv) = _adjugate(net, ((j, j), (i, j)))
-    return _PairPolys(d=d, phi_g=phi_g, phi=phi, a_uv=a_uv)
+    return _PairPolys(net, u, v)
 
 
 def is_latent_symmetric(net: Network, u: int, v: int) -> bool:
@@ -279,24 +324,22 @@ def isospectral_reduction(net: Network, u: int, v: int) -> ReductionMatrix:
     degree comes off both scales before the one conversion to lam.  The pair
     must be cospectral (equal diagonal entries); otherwise this raises.
     """
-    pair = _pair_polys(net, u, v)
-    if pair is None:
+    if not is_cospectral(net, u, v):
         raise SpectralError(
             "reduction is not bisymmetric for this pair (the pair is not cospectral)"
         )
-    sq = _int_add(_int_mul(pair.phi, pair.phi), _int_mul(pair.a_uv, pair.a_uv), -1)
-    d_mu = _int_exact_div(sq, pair.phi_g)
+    d, phi_g, (phi, a_uv) = _adjugate(net, ((v - 1, v - 1), (u - 1, v - 1)))
+    sq = _int_add(_int_mul(phi, phi), _int_mul(a_uv, a_uv), -1)
+    d_mu = _int_exact_div(sq, phi_g)
 
     def reduced(num: list[int]) -> ReducedEntry:
         g = _int_gcd(num, d_mu)
         den = _int_exact_div(d_mu, g)  # len(den) = n - 1 - deg g, num's scale
         return ReducedEntry(
-            _lam_poly(_int_exact_div(num, g), pair.d, len(den)), _lam_poly(den, pair.d)
+            _lam_poly(_int_exact_div(num, g), d, len(den)), _lam_poly(den, d)
         )
 
-    return ReductionMatrix(
-        a=reduced(_int_add([0, *d_mu], pair.phi, -1)), b=reduced(pair.a_uv)
-    )
+    return ReductionMatrix(a=reduced(_int_add([0, *d_mu], phi, -1)), b=reduced(a_uv))
 
 
 def reduction_charpoly(red: ReductionMatrix) -> RationalPoly:

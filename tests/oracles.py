@@ -6,7 +6,8 @@ come out as `RationalPoly`.  A rational function is a (num, den) pair in lowest
 terms with den monic, the form `isospectral_reduction` returns its entries in.
 Everything here works coefficient by coefficient in `Fraction` and reduces by
 Euclid's algorithm with long division over Q, so none of it calls the integer
-core that latsym computes on.
+core that latsym computes on.  `berlekamp_massey` is the textbook algorithm
+over Q, the oracle for the integer one that finds the parity factors.
 """
 
 from fractions import Fraction
@@ -85,3 +86,25 @@ def rf_mul(f, g) -> tuple[RationalPoly, RationalPoly]:
 
 def rf_evaluate(f, x):
     return evaluate(f[0], x) / evaluate(f[1], x)
+
+
+def berlekamp_massey(seq) -> RationalPoly:
+    """Monic minimal polynomial of a rational sequence whose linear complexity L
+    has 2L <= len(seq), by Berlekamp-Massey over Q (Massey, IEEE Trans. Inf.
+    Theory 15, 1969): the shortest recurrence, reversed."""
+    c, prev, b, length, m = [Fraction(1)], [Fraction(1)], Fraction(1), 0, 1
+    for k in range(len(seq)):
+        d = sum((x * y for x, y in zip(c, reversed(seq[: k + 1]))), Fraction(0))
+        if d == 0:
+            m += 1
+            continue
+        new = c + [Fraction(0)] * (len(prev) + m - len(c))
+        for i, y in enumerate(prev):
+            new[i + m] -= d / b * y
+        if 2 * length <= k:
+            prev, b, length, m = c, d, k + 1 - length, 1
+        else:
+            m += 1
+        c = new
+    c = (c + [Fraction(0)] * length)[: length + 1]
+    return RationalPoly(c[::-1])

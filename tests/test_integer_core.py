@@ -7,6 +7,7 @@ calls latsym's gcd.
 """
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import pytest
 import sympy
 
 import oracles
+from conftest import mirrored_network, random_network
 from latsym import polynomial
 from latsym.network import Network, attach
 from latsym.ninesite import SINGLET_SITES, build_ninesite
@@ -37,6 +39,7 @@ from latsym.polynomial import (
 )
 from latsym.spectral import (
     _adjugate,
+    _min_poly,
     _pair_polys,
     is_strongly_cospectral,
     isospectral_reduction,
@@ -126,13 +129,40 @@ def test_int_exact_div_refuses_a_remainder():
         _int_exact_div([1], [1, 1])
 
 
+def test_min_poly_matches_berlekamp_massey_over_q():
+    rng = random.Random(1969)
+    for _ in range(200):
+        # a sequence from a monic integer recurrence f; its minimal polynomial divides f
+        m = rng.randint(1, 8)
+        f = [rng.randint(-9, 9) for _ in range(m)] + [1]
+        seq = [rng.randint(-5, 5) for _ in range(m)]
+        while len(seq) < 2 * m + rng.randint(0, 3):
+            seq.append(-sum(map(operator.mul, f[:-1], seq[-m:])))
+        want = oracles.berlekamp_massey(seq)
+        got = _min_poly(seq)
+        assert _lam_poly(got, 1) == want and got[-1] == 1
+        if any(seq):
+            assert not oracles.divmod_q(RationalPoly(f), want)[1].coeffs
+    # 0^j, a constant, zero discrepancies between steps, and a power series of
+    # 1/(1 - 3x) with a zero root on top
+    assert _min_poly([1, 0, 0, 0]) == [0, 1]
+    assert _min_poly([2] * 6) == [-1, 1]
+    assert _min_poly([1, 0, 1, 0, 1, 0]) == [-1, 0, 1]
+    assert _min_poly([2, 3, 9, 27, 81, 243]) == [0, -3, 1]
+    assert _min_poly([]) == [1]
+    with pytest.raises(ValueError):
+        _min_poly([2, 1])  # s_(j+1) = s_j/2: no integer recurrence, and no floor
+
+
 @pytest.mark.parametrize("coupling", [Fraction(10**7), Fraction(1, 10**13), K])
 def test_nine_site_parity_factors_match_sympy(coupling):
-    pair = _pair_polys(build_ninesite(coupling), 2, 6)
+    net = build_ninesite(coupling)
+    pair = _pair_polys(net, 2, 6)
+    _, phi_g, (phi, a_uv) = _adjugate(net, ((5, 5), (1, 5)))
     for sign, p in zip((1, -1), pair.parity_factors):
-        num = [x + sign * y for x, y in itertools.zip_longest(pair.phi, pair.a_uv, fillvalue=0)]
-        g = sympy_gcd(pair.phi_g, num)
-        quo = sympy.Poly(pair.phi_g[::-1], X).exquo(sympy.Poly(g[::-1], X))
+        num = [x + sign * y for x, y in itertools.zip_longest(phi, a_uv, fillvalue=0)]
+        g = sympy_gcd(phi_g, num)
+        quo = sympy.Poly(phi_g[::-1], X).exquo(sympy.Poly(g[::-1], X))
         assert p == [int(c) for c in quo.all_coeffs()[::-1]]
         assert p[-1] == 1
 
@@ -231,7 +261,15 @@ def test_pair_outputs_are_identical_to_the_euclidean_path(oracle_networks):
     nets = list(oracle_networks)
     nets += [build_ninesite(K, e) for e in SCAN_GRID[::20]]
     nets += [build_ninesite(Fraction(10**7)), build_ninesite(Fraction(1, 10**13))]
+    rng = random.Random(28)
+    nets += [make(rng, n) for n in range(2, 12) for make in (random_network, mirrored_network)]
+    # no edges: every pair is cospectral with P+ = P- = lam - E, never strongly
+    nets += [Network(3, [Fraction(0)] * 3, []), Network(2, [Fraction(2, 3)] * 2, [])]
+    nets.append(Network(2, [Fraction(1, 3)] * 2, [(1, 2, Fraction(-5, 7))]))  # n = 2
+    # degenerate spectra: the twin chains' +1 and -1, and the star's 0 at a pair
+    # of leaves, lie in both P+ and P-
     nets.append(Network(4, [Fraction(0)] * 4, [(1, 2, Fraction(1)), (3, 4, Fraction(1))]))
+    nets.append(Network(4, [Fraction(0)] * 4, [(4, w, Fraction(1)) for w in (1, 2, 3)]))
     seen = {True: 0, False: 0}
     for net in nets:
         for u, v in itertools.combinations(range(1, net.n + 1), 2):
@@ -241,6 +279,8 @@ def test_pair_outputs_are_identical_to_the_euclidean_path(oracle_networks):
             phi_g, phi, a_uv = old_pair(net, u, v)
             p_plus, p_minus = old_parity_factors(phi_g, phi, a_uv)
             assert tuple(_lam_poly(p, pair.d) for p in pair.parity_factors) == (p_plus, p_minus)
+            if not net.edges:
+                assert p_plus == p_minus == RationalPoly([-net.onsite[0], 1])
             strong = sylvester_resultant(p_plus, p_minus) != 0
             seen[strong] += 1
             assert is_strongly_cospectral(net, u, v) == strong
@@ -256,7 +296,7 @@ def test_pair_outputs_are_identical_to_the_euclidean_path(oracle_networks):
             lam = RationalPoly([0, 1])
             assert (red.a.num, red.a.den) == old_reduced(oracles.sub(lam * jacobi, phi), jacobi)
             assert (red.b.num, red.b.den) == old_reduced(a_uv, jacobi)
-    assert seen[True] >= 20 and seen[False] >= 1
+    assert seen[True] >= 30 and seen[False] >= 10
 
 
 def test_pair_path_builds_no_rational_polynomial(monkeypatch):

@@ -498,15 +498,16 @@ def test_one_adjugate_pass_per_public_call(monkeypatch):
     cases = [
         (pgst_certificate, build_ninesite(), 2, 6, 1),  # certified
         (pgst_certificate, path_network(3), 1, 3, 1),  # literal condition fails
-        (pgst_certificate, twins, 1, 3, 1),  # not strongly cospectral
+        (pgst_certificate, twins, 1, 3, 0),  # not strongly cospectral: no phi(G)
         (pgst_certificate, path_network(3), 1, 2, 0),  # not cospectral
         (parity_decompose, build_ninesite(), 2, 6, 1),
-        (is_strongly_cospectral, build_ninesite(), 2, 6, 1),
-        (is_strongly_cospectral, twins, 1, 3, 1),
+        (is_strongly_cospectral, build_ninesite(), 2, 6, 0),
+        (is_strongly_cospectral, twins, 1, 3, 0),
         (is_strongly_cospectral, path_network(3), 1, 2, 0),
         (isospectral_reduction, build_ninesite(), 2, 6, 1),
     ]
-    # a pair that is not cospectral is decided by its closed-walk counts alone
+    # a pair that is not cospectral is decided by its closed-walk counts alone,
+    # and P+/- come from the pair's own walk; only P0 and the reduction read phi(G)
     for fn, net, u, v, passes in cases:
         calls.clear()
         fn(net, u, v)
@@ -521,7 +522,7 @@ def test_one_adjugate_pass_per_public_call(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     boundary_scan(build_ninesite, Fraction(1), frange(5, 6, "1/2"))
-    assert len(calls) == 3
+    assert len(calls) == 0
 
 
 def test_parity_signs_are_negative_on_every_strongly_cospectral_pair(oracle_networks):

@@ -411,6 +411,22 @@ def test_disjoint_twins_are_not_strongly_cospectral():
     assert not is_strongly_cospectral(net, 1, 3)
 
 
+def test_strong_cospectrality_of_a_long_path_streams_its_walk():
+    # the ends of P_150: the parity factors come from one walk of 2n - 1 steps,
+    # keeping two entries per step rather than the 300 x 150 walk of big ints
+    import tracemalloc
+
+    net = path_network(150)
+    tracemalloc.start()
+    try:
+        assert is_strongly_cospectral(net, 1, 150)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # streamed: about 0.07 MB; holding the whole walk: about 1.3 MB
+    assert peak < 5e5
+
+
 def test_reduction_is_relabeling_invariant():
     net = build_ninesite()
     base = isospectral_reduction(net, 2, 6)
@@ -499,10 +515,13 @@ def test_minor_engine_satisfies_jacobi_identity_against_cofactors(oracle_network
             pair = _pair_polys(net, u, v)
             assert (pair is not None) == (phi_u == phi_v)
             if pair is not None:
-                assert (pair.d, pair.phi_g) == (scale, phi_mu)
-                assert (pair.phi, pair.a_uv) == (entry_mu[v - 1, v - 1], entry_mu[u - 1, v - 1])
-                assert _lam_poly(pair.phi, pair.d) == phi_v
-                assert _lam_poly(pair.a_uv, pair.d, n - 1) == a_uv
+                d_pair, phi_pair, (phi_v_mu, a_uv_mu) = _adjugate(
+                    net, ((v - 1, v - 1), (u - 1, v - 1))
+                )
+                assert (pair.d, d_pair, phi_pair) == (scale, scale, phi_mu)
+                assert (phi_v_mu, a_uv_mu) == (entry_mu[v - 1, v - 1], entry_mu[u - 1, v - 1])
+                assert _lam_poly(phi_v_mu, scale) == phi_v
+                assert _lam_poly(a_uv_mu, scale, n - 1) == a_uv
 
 
 def test_exact_engine_at_extreme_couplings():
