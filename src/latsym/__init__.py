@@ -74,7 +74,6 @@ _LAZY = {
             "EigenSystem",
             "PeakReport",
             "antisymmetric_confinement",
-            "eigenprojector_parity",
             "eigh",
             "envelope_scan",
             "evolution_operator",
@@ -150,7 +149,6 @@ __all__ = [
     "EigenSystem",
     "PeakReport",
     "antisymmetric_confinement",
-    "eigenprojector_parity",
     "eigh",
     "envelope_scan",
     "evolution_operator",

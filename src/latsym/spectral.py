@@ -10,13 +10,12 @@ and s_(2i+1) = y_i.y_(i+1), at most ceil(n/2) products per site.
 Integer polynomials.  With mu = d*lam, det(mu*I - A) = d^n phi(G) =
 sum c_k mu^(n-k) is monic: c_0 = 1 and, by Newton's identities,
 c_k = -(sum_(i<=k) c_(k-i) p_i)/k, an exact division, with the power sums
-p_i = tr A^i = sum_w s_i(w).  adj(mu*I - A) = d^(n-1) adj(lam*I - H) =
-sum B_k mu^(n-1-k) with B_k = sum_(j<=k) c_(k-j) A^j (Godsil, Algebraic
-Combinatorics, 1993), so `_adjugate` reads a diagonal entry off s_j(i) and
-entry (i, j) off the walk A^j e_i.  A polynomial scaled by d^m (m its degree,
-or n - 1 for an off-diagonal adjugate entry) becomes one in lam by dividing
-its coefficient of mu^i by d^(m-i).  The resultant of two monic polynomials of
-degrees m and k grows by d^(m*k), so it keeps its sign.
+p_i = tr A^i = sum_w s_i(w); `_adjugate` computes it.  adj(mu*I - A) =
+d^(n-1) adj(lam*I - H) = sum B_k mu^(n-1-k) with B_k = sum_(j<=k) c_(k-j) A^j
+(Godsil, Algebraic Combinatorics, 1993).  A polynomial scaled by d^m (m its
+degree unless stated) becomes one in lam by dividing its coefficient of mu^i
+by d^(m-i).  The resultant of two monic polynomials of degrees m and k grows
+by d^(m*k), so it keeps its sign.
 
 Strong cospectrality.  With E_theta the eigenprojectors of H and
 x = e_u +/- e_v, G_vv +/- G_uv = sum_theta |E_theta x|^2/2 * 1/(lam - theta),
@@ -32,14 +31,20 @@ terms, all read off one walk A^j e_v, j < 2n.  A simple theta has an
 eigenvector with q_u = +/-q_v, so it lies in at most one factor, and a theta
 of multiplicity m >= 2 adds at most 2 <= m to both degrees:
 deg P+ + deg P- <= n, so P+ needs only 2(n - deg P-) terms.  P+/- need no
-phi(G).  Write N+/- for the reduced numerator, coprime to P+/-,
-of (phi(G - v) +/- A_uv)/phi(G) = G_vv +/- G_uv.  By the Jacobi identity
-phi(G - u) phi(G - v) - A_uv^2 = phi(G) D, with D = phi(G - {u, v}), the
-reduction polynomial phi(G)/D is the reduced numerator of P+ P- / (N+ N-), so
-it has a double root exactly where P+ and P- share one.  Strong cospectrality
-is therefore resultant(P+, P-) != 0.  That test, P+/-, and the split of phi(G)
-into P+ P- P0 live in one place, the pair data `_pair_polys` returns; every
-caller in latsym reads them from there, and only the split reads phi(G).
+phi(G).
+
+The reduction.  The pair's reduction R = [[a, b], [b, a]] has
+(lam*I - R)^-1 = [(lam*I - H)^-1]_SS, S = {u, v}, so
+G_vv +/- G_uv = 1/(lam - a -/+ b) and a +/- b = lam - P+/-/N+/-, with N+/-/P+/-
+that generating function in lowest terms.  In mu it is d sum_j s+/-_j
+mu^(-j-1), so N+/-(mu) is the polynomial part of P+/-(mu) sum_j s+/-_j
+mu^(-j-1): the first deg P+/- moments, no phi(G), and monic since s+/-_0 = 1.
+P+/- is square-free and coprime to N+/-, so the reduction polynomial
+(lam - a)^2 - b^2 = P+ P-/(N+ N-) has a double root exactly where P+ and P-
+share one.  Strong cospectrality is therefore resultant(P+, P-) != 0.  That
+test, the moments, P+/- and the split of phi(G) into P+ P- P0 live in one
+place, the pair data `_pair_polys` returns; every caller in latsym reads them
+from there, and only the split reads phi(G).
 
 Cospectrality and singlets need no adjugate.  B_k is unitriangular in the
 powers, so adj_uw = adj_vw iff (A^j)_uw = (A^j)_vw for every j < n, w = u, v
@@ -132,39 +137,22 @@ def _walk_singlets(net: Network, u: int, v: int) -> frozenset[int]:
     return frozenset(w + 1 for w in alive)
 
 
-def _adjugate(
-    net: Network, entries: Sequence[tuple[int, int]] = ()
-) -> tuple[int, list[int], list[list[int]]]:
-    """d, phi(G) and the listed entries [adj(lam*I - H)]_ij (0-based sites), as
-    integer polynomials in mu = d*lam (ascending lists).
-
-    c_k from the power sums p_i = sum_w s_i(w) by Newton's identities, and
-    entry (i, j) as B_k[i][j] = sum_(t<=k) c_(k-t) (A^t)_ij (module docstring):
-    (A^t)_ii are the closed-walk counts of i, and the entries of row i off the
-    diagonal share one walk A^t e_i, t < n.
-    """
-    n, rows = net.n, net._integer_form.rows
+def _adjugate(net: Network) -> tuple[int, list[int]]:
+    """d and d^n phi(G) = det(mu*I - A), mu = d*lam, as an ascending integer
+    list: its coefficients c_k from the power sums p_i = sum_w s_i(w) by
+    Newton's identities (module docstring)."""
+    n = net.n
     counts = [_closed_walks(net, w, n) for w in range(n)]
     p = [sum(s[i] for s in counts) for i in range(1, n + 1)]
     cs = [1]
     for k in range(1, n + 1):
         cs.append(-sum(map(mul, cs[::-1], p)) // k)
-    walks: dict[int, list[list[int]]] = {}
-    reads = []
-    for i, j in entries:
-        if i == j:
-            seq = counts[i]
-        else:
-            if i not in walks:
-                walks[i] = _row_walk(rows, i, n)
-            seq = [x[j] for x in walks[i]]
-        reads.append(_trim([sum(map(mul, cs[k::-1], seq)) for k in range(n - 1, -1, -1)]))
-    return net._integer_form.d, cs[::-1], reads
+    return net._integer_form.d, cs[::-1]
 
 
 def char_poly(net: Network) -> RationalPoly:
     """det(lam*I - H) as an exact monic polynomial."""
-    d, phi, _ = _adjugate(net)
+    d, phi = _adjugate(net)
     return _lam_poly(phi, d)
 
 
@@ -220,10 +208,11 @@ def _min_poly(seq: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class _PairPolys:
-    """A cospectral pair (u, v) of a network and the parity data every
-    strong-cospectrality decision reads from it: P+/-, their resultant and,
-    for a strongly cospectral pair, the split of phi(G), as integer
-    polynomials in mu = d*lam.  Only the split reads phi(G)."""
+    """A cospectral pair (u, v) of a network and the parity data that the
+    reduction and every strong-cospectrality decision read from it: the walk
+    moments, P+/-, their resultant and, for a strongly cospectral pair, the
+    split of phi(G), as integer polynomials in mu = d*lam.  Only the split
+    reads phi(G)."""
 
     net: Network
     u: int
@@ -234,13 +223,9 @@ class _PairPolys:
         return self.net._integer_form.d
 
     @cached_property
-    def parity_factors(self) -> tuple[list[int], list[int]]:
-        """P+ and P- in mu: the minimal polynomials of s+/-_j = (A^j)_vv +/- (A^j)_uv.
-
-        Both sequences come off one walk y_j = A^j e_v, j < 2n, of which only
-        the entries u and v are kept.  P- reads all 2n terms; P+ reads
-        2(n - deg P-), since deg P+ + deg P- <= n (module docstring).
-        """
+    def moments(self) -> tuple[list[int], list[int]]:
+        """s+/-_j = (A^j)_vv +/- (A^j)_uv, j < 2n, off one walk y_j = A^j e_v
+        of which only the entries u and v are kept."""
         n, rows = self.net.n, self.net._integer_form.rows
         u, v = self.u - 1, self.v - 1
         y = [0] * n
@@ -250,8 +235,18 @@ class _PairPolys:
             y = _times_a(rows, y)
             plus.append(y[v] + y[u])
             minus.append(y[v] - y[u])
+        return plus, minus
+
+    @cached_property
+    def parity_factors(self) -> tuple[list[int], list[int]]:
+        """P+ and P- in mu: the minimal polynomials of the moments s+/-_j.
+
+        P- reads all 2n terms; P+ reads 2(n - deg P-), since
+        deg P+ + deg P- <= n (module docstring).
+        """
+        plus, minus = self.moments
         p_minus = _min_poly(minus)
-        return _min_poly(plus[: 2 * (n + 1 - len(p_minus))]), p_minus
+        return _min_poly(plus[: 2 * (self.net.n + 1 - len(p_minus))]), p_minus
 
     @cached_property
     def resultant(self) -> int:
@@ -271,7 +266,7 @@ class _PairPolys:
         if self.resultant == 0:
             return None
         p_plus, p_minus = self.parity_factors
-        d, phi_g, _ = _adjugate(self.net)
+        d, phi_g = _adjugate(self.net)
         p_zero = _int_exact_div(phi_g, _int_mul(p_plus, p_minus))
         return ParityDecomposition(*(_lam_poly(p, d) for p in (p_plus, p_minus, p_zero)))
 
@@ -314,32 +309,39 @@ class ReductionMatrix:
 def isospectral_reduction(net: Network, u: int, v: int) -> ReductionMatrix:
     """Reduce H onto the pair {u, v}: R(lam) = H_SS - H_SC (H_CC - lam I)^-1 H_CS.
 
-    Entries come out in lowest terms: a = (lam*D - phi(G - v))/D and
-    b = A_uv/D with D = phi(G - {u, v}), from the Jacobi identity
-    phi(G - v)^2 - A_uv^2 = phi(G) D.  Scaled by d^(2n-2), the identity divides
-    the monic d^n phi(G) into the squares of the adjugate entries exactly in
-    Z[mu], with quotient d^(n-2) D, monic.  Both numerators carry the scale
-    d^(n-1): mu*d^(n-2) D - d^(n-1) phi(G - v) for a, the adjugate entry for b.
-    One gcd with d^(n-2) D in Z[mu], monic because D is, reduces each, and its
-    degree comes off both scales before the one conversion to lam.  The pair
+    Entries come out in lowest terms from the pair's walk moments (module
+    docstring): d(a +/- b) = (mu N+/- - P+/-)/N+/- in mu = d*lam, so 2d*a and
+    2d*b are (e+ N- +/- e- N+)/(N+ N-) with e+/- = mu N+/- - P+/-.  One gcd
+    with N+ N-, monic because N+/- are, reduces each, and the degree of the
+    reduced denominator sets the scale of the one conversion to lam.  The pair
     must be cospectral (equal diagonal entries); otherwise this raises.
     """
-    if not is_cospectral(net, u, v):
+    pair = _pair_polys(net, u, v)
+    if pair is None:
         raise SpectralError(
             "reduction is not bisymmetric for this pair (the pair is not cospectral)"
         )
-    d, phi_g, (phi, a_uv) = _adjugate(net, ((v - 1, v - 1), (u - 1, v - 1)))
-    sq = _int_add(_int_mul(phi, phi), _int_mul(a_uv, a_uv), -1)
-    d_mu = _int_exact_div(sq, phi_g)
+    d, (p_plus, p_minus) = pair.d, pair.parity_factors
+    n_plus, n_minus = (
+        # the polynomial part of P(mu) * sum_j s_j mu^(-j-1), monic as s_0 = 1
+        [sum(map(mul, p[k + 1 :], s)) for k in range(len(p) - 1)]
+        for p, s in zip(pair.parity_factors, pair.moments)
+    )
+    plus = _int_mul(_int_add([0, *n_plus], p_plus, -1), n_minus)  # e+ N-
+    minus = _int_mul(_int_add([0, *n_minus], p_minus, -1), n_plus)  # e- N+
+    den = _int_mul(n_plus, n_minus)
 
     def reduced(num: list[int]) -> ReducedEntry:
-        g = _int_gcd(num, d_mu)
-        den = _int_exact_div(d_mu, g)  # len(den) = n - 1 - deg g, num's scale
+        g = _int_gcd(num, den)
+        q = _int_exact_div(den, g)
+        # the numerator's scale is 2d^len(q): d^deg(q) from q, then one d and the 2
+        num = _int_exact_div(num, g)
         return ReducedEntry(
-            _lam_poly(_int_exact_div(num, g), d, len(den)), _lam_poly(den, d)
+            RationalPoly([Fraction(c, 2 * d ** (len(q) - i)) for i, c in enumerate(num)]),
+            _lam_poly(q, d),
         )
 
-    return ReductionMatrix(a=reduced(_int_add([0, *d_mu], phi, -1)), b=reduced(a_uv))
+    return ReductionMatrix(a=reduced(_int_add(plus, minus)), b=reduced(_int_add(plus, minus, -1)))
 
 
 def reduction_charpoly(red: ReductionMatrix) -> RationalPoly:

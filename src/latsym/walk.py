@@ -389,34 +389,3 @@ def antisymmetric_confinement(
     amps = phases @ (coef[:, None] * sys.eigenvectors[[s - 1 for s in sites]].T)
     return float(np.abs(amps).max())
 
-
-# eigenprojector_parity's tolerances, both scale-free (see its docstring)
-_CLUSTER_TOL = 1e-8
-_PARITY_TOL = 1e-8
-
-
-def eigenprojector_parity(sys: EigenSystem, u: int, v: int) -> bool:
-    """Definite eigenvector parity on (u, v) for every eigenvalue cluster.
-
-    Eigenvalues closer than _CLUSTER_TOL times the spectral radius are treated
-    as one degenerate cluster and tested through their projector P: the
-    parity is definite when P e_u - P e_v or P e_u + P e_v has a norm below
-    _PARITY_TOL.
-    """
-    _check_sites(sys, u, v)
-    lam = sys.eigenvalues
-    scale = float(np.abs(lam).max()) if sys.n else 1.0
-    tol = _CLUSTER_TOL * scale
-    start = 0
-    for i in range(1, sys.n + 1):
-        if i == sys.n or lam[i] - lam[i - 1] > tol:
-            block = sys.eigenvectors[:, start:i]
-            pu = block @ block[u - 1]
-            pv = block @ block[v - 1]
-            if (
-                np.linalg.norm(pu - pv) >= _PARITY_TOL
-                and np.linalg.norm(pu + pv) >= _PARITY_TOL
-            ):
-                return False
-            start = i
-    return True

@@ -8,9 +8,16 @@ Everything here works coefficient by coefficient in `Fraction` and reduces by
 Euclid's algorithm with long division over Q, so none of it calls the integer
 core that latsym computes on.  `berlekamp_massey` is the textbook algorithm
 over Q, the oracle for the integer one that finds the parity factors.
+`adjugate` gives every entry of adj(mu*I - A) by the dense Faddeev-LeVerrier
+recursion, not latsym's walk engine.  `eigenprojector_parity` is a float
+verdict on strong cospectrality from an eigendecomposition, the cross-check
+of the exact one.
 """
 
 from fractions import Fraction
+from math import lcm
+
+import numpy as np
 
 from latsym.polynomial import RationalPoly
 
@@ -108,3 +115,63 @@ def berlekamp_massey(seq) -> RationalPoly:
         c = new
     c = (c + [Fraction(0)] * length)[: length + 1]
     return RationalPoly(c[::-1])
+
+
+def adjugate(net) -> tuple[int, list[int], list[list[list[int]]]]:
+    """d, det(mu*I - A) and adj(mu*I - A) for A = d*H, d the common denominator
+    of H, as integer polynomials in mu = d*lam (ascending, zeros trimmed).
+
+    Faddeev-LeVerrier on the dense matrix A: B_0 = I, c_k = -tr(A B_(k-1))/k
+    and B_k = A B_(k-1) + c_k I give det = sum c_k mu^(n-k) and
+    adj = sum B_k mu^(n-1-k); B_n = 0 (Cayley-Hamilton) is checked.
+    """
+    h = net.hamiltonian()
+    n = len(h)
+    d = lcm(*(x.denominator for row in h for x in row))
+    rows = [[(t, int(x * d)) for t, x in enumerate(row) if x] for row in h]
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
+    cs, bs = [1], []
+    for k in range(1, n + 1):
+        bs.append(b)
+        b = [[sum(x * b[t][j] for t, x in row) for j in range(n)] for row in rows]
+        c, rem = divmod(-sum(b[i][i] for i in range(n)), k)
+        assert rem == 0
+        cs.append(c)
+        for i in range(n):
+            b[i][i] += c
+    assert not any(map(any, b))
+
+    def trimmed(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    adj = [[trimmed([bs[n - 1 - m][i][j] for m in range(n)]) for j in range(n)] for i in range(n)]
+    return d, cs[::-1], adj
+
+
+# eigenprojector_parity's tolerances, both scale-free (see its docstring)
+_CLUSTER_TOL = 1e-8
+_PARITY_TOL = 1e-8
+
+
+def eigenprojector_parity(sys, u: int, v: int) -> bool:
+    """Definite eigenvector parity on (u, v) for every eigenvalue cluster of an
+    `EigenSystem`.
+
+    Eigenvalues closer than _CLUSTER_TOL times the spectral radius are treated
+    as one degenerate cluster and tested through their projector P: the
+    parity is definite when P e_u - P e_v or P e_u + P e_v has a norm below
+    _PARITY_TOL.
+    """
+    lam = sys.eigenvalues
+    tol = _CLUSTER_TOL * (float(np.abs(lam).max()) if sys.n else 1.0)
+    start = 0
+    for i in range(1, sys.n + 1):
+        if i == sys.n or lam[i] - lam[i - 1] > tol:
+            block = sys.eigenvectors[:, start:i]
+            pu, pv = block @ block[u - 1], block @ block[v - 1]
+            if min(np.linalg.norm(pu - pv), np.linalg.norm(pu + pv)) >= _PARITY_TOL:
+                return False
+            start = i
+    return True

@@ -61,7 +61,6 @@ ALL = [
     "EigenSystem",
     "PeakReport",
     "antisymmetric_confinement",
-    "eigenprojector_parity",
     "eigh",
     "envelope_scan",
     "evolution_operator",
@@ -127,7 +126,6 @@ SIGNATURES = {
     "reduction_charpoly": "(red)",
     "singlet_sites": "(net, u, v)",
     "antisymmetric_confinement": "(sys, u, v, singlets, tau_grid)",
-    "eigenprojector_parity": "(sys, u, v)",
     "eigh": "(net)",
     "envelope_scan": "(sys, u, v, tau_max, coarse_step)",
     "evolution_operator": "(sys, tau)",

@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 import oracles
+from conftest import mirrored_network, random_network
 from latsym import spectral
 from latsym.network import Network
 from latsym.ninesite import build_ninesite
@@ -444,7 +445,7 @@ def test_reduction_is_relabeling_invariant():
     assert red.b == base.b
 
 
-# -- oracle checks of the exact adjugate engine on seeded random networks -----
+# -- the exact engine and the adjugate oracle against cofactors and each other --
 
 
 def sample_points(n):
@@ -470,15 +471,14 @@ def test_minor_engine_satisfies_jacobi_identity_against_cofactors(oracle_network
     for net in SMALL_NETWORKS + oracle_networks:
         n = net.n
         h = net.hamiltonian()
-        cells = list(itertools.product(range(n), repeat=2))
-        scale, phi_mu, entries_mu = _adjugate(net, cells)
-        entry_mu = dict(zip(cells, entries_mu))
+        scale, phi_mu, adj_mu = oracles.adjugate(net)
+        assert _adjugate(net) == (scale, phi_mu)
         phi = _lam_poly(phi_mu, scale)
         assert phi == char_poly(net)
 
         def entry(i, j):
             # every entry of adj(mu*I - dH) is d^(n-1) adj(lam*I - H) at lam = mu/d
-            return _lam_poly(entry_mu[i, j], scale, n - 1)
+            return _lam_poly(adj_mu[i][j], scale, n - 1)
 
         # n+1 points pin down every polynomial of degree <= n
         points = []
@@ -514,14 +514,7 @@ def test_minor_engine_satisfies_jacobi_identity_against_cofactors(oracle_network
                 assert at(a_uv, lam) == (-1) ** (u + v) * cofactor_det({v - 1}, {u - 1})
             pair = _pair_polys(net, u, v)
             assert (pair is not None) == (phi_u == phi_v)
-            if pair is not None:
-                d_pair, phi_pair, (phi_v_mu, a_uv_mu) = _adjugate(
-                    net, ((v - 1, v - 1), (u - 1, v - 1))
-                )
-                assert (pair.d, d_pair, phi_pair) == (scale, scale, phi_mu)
-                assert (phi_v_mu, a_uv_mu) == (entry_mu[v - 1, v - 1], entry_mu[u - 1, v - 1])
-                assert _lam_poly(phi_v_mu, scale) == phi_v
-                assert _lam_poly(a_uv_mu, scale, n - 1) == a_uv
+            assert pair is None or pair.d == scale
 
 
 def test_exact_engine_at_extreme_couplings():
@@ -611,6 +604,95 @@ def test_isospectral_reduction_matches_schur_complement(oracle_networks):
     assert cospectral_pairs >= 7
 
 
+def jacobi_reductions(net):
+    """(a, b, reduction polynomial) per cospectral pair, by the Jacobi route on
+    the oracle adjugate: D = (phi(G - v)^2 - A_uv^2)/phi(G) = phi(G - {u, v}),
+    a = (lam*D - phi(G - v))/D, b = A_uv/D and phi(G)/D, in lowest terms."""
+    d, phi_mu, adj = oracles.adjugate(net)
+    phi_g = _lam_poly(phi_mu, d)
+    out = {}
+    for u, v in itertools.combinations(range(1, net.n + 1), 2):
+        phi_u, phi_v, a_uv = (_lam_poly(adj[i][j], d, net.n - 1)
+                              for i, j in ((u - 1, u - 1), (v - 1, v - 1), (u - 1, v - 1)))
+        if phi_u != phi_v:
+            continue
+        dd, rem = oracles.divmod_q(
+            oracles.sub(oracles.mul(phi_v, phi_v), oracles.mul(a_uv, a_uv)), phi_g
+        )
+        assert rem.is_zero
+        out[u, v] = (
+            oracles.reduced(oracles.sub(oracles.mul(oracles.LAM, dd), phi_v), dd),
+            oracles.reduced(a_uv, dd),
+            oracles.reduced(phi_g, dd)[0],
+        )
+    return out
+
+
+def test_reduction_from_walk_moments_matches_the_jacobi_route():
+    rng = random.Random(30)
+    nets = [make(rng, n) for n in range(2, 12) for make in (random_network, mirrored_network)
+            for _ in range(5)]
+    big, tiny = Fraction(10**7), Fraction(1, 10**13)
+    zero = Fraction(0)
+    nets += [
+        Network(2, [zero] * 2, []),
+        Network(3, [Fraction(1, 2)] * 3, []),
+        Network(2, [Fraction(-1, 2)] * 2, [(1, 2, Fraction(3, 4))]),
+        Network(4, [zero] * 4, [(1, 2, Fraction(1)), (3, 4, Fraction(1))]),  # twin chains
+        Network(4, [zero] * 4, [(1, w, Fraction(1)) for w in (2, 3, 4)]),  # star K_1,3
+        Network(  # two components, each with a mirror pair
+            5,
+            [Fraction(1, 2), zero, Fraction(1, 2), Fraction(-3), Fraction(-3)],
+            [(1, 2, Fraction(1, 3)), (2, 3, Fraction(1, 3)), (4, 5, Fraction(2, 7))],
+        ),
+        Network(
+            4,
+            [Fraction(1, 3), Fraction(-2), Fraction(-2), Fraction(1, 3)],
+            [(1, 2, big), (2, 3, tiny), (3, 4, big)],
+        ),
+        path_network(20),
+        build_ninesite(big),
+        build_ninesite(tiny),
+    ]
+    nets += [build_ninesite(Fraction(27, 50), Fraction(i, 100)) for i in range(-50, 151, 20)]
+    pairs = 0
+    for net in nets:
+        want = jacobi_reductions(net)
+        for u, v in itertools.combinations(range(1, net.n + 1), 2):
+            if (u, v) not in want:
+                with pytest.raises(SpectralError):
+                    isospectral_reduction(net, u, v)
+                continue
+            a, b, charpoly = want[u, v]
+            red = isospectral_reduction(net, u, v)
+            assert (red.a, red.b) == (a, b)
+            assert reduction_charpoly(red) == charpoly
+            pairs += 1
+    assert pairs >= 90
+
+
+def test_reduction_of_a_long_path_reads_no_characteristic_polynomial(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the reduction computed phi(G)")
+
+    monkeypatch.setattr(spectral, "_adjugate", refuse)
+    net = path_network(150)
+    red = isospectral_reduction(net, 1, 150)
+    # ends of P_n: D = phi(P_(n-2)), phi(G - v) = phi(P_(n-1)), A_uv = 1, and
+    # phi(P_k) = lam phi(P_(k-1)) - phi(P_(k-2)), so a = phi(P_(n-3))/phi(P_(n-2))
+    # and b = 1/phi(P_(n-2)); consecutive phi(P_k) are coprime
+    phis = [oracles.ONE, oracles.LAM]
+    while len(phis) < 149:
+        phis.append(oracles.sub(oracles.mul(oracles.LAM, phis[-1]), phis[-2]))
+    assert red.a == (phis[147], phis[148])
+    assert red.b == (oracles.ONE, phis[148])
+    with pytest.raises(
+        SpectralError,
+        match=r"^reduction is not bisymmetric for this pair \(the pair is not cospectral\)$",
+    ):
+        isospectral_reduction(net, 1, 149)
+
+
 def unit_weight_graphs(max_n):
     """One graph with unit couplings per isomorphism class, on 2..max_n sites."""
     for n in range(2, max_n + 1):
@@ -643,13 +725,11 @@ def test_parity_factors_and_strong_cospectrality_match_the_reduction(oracle_netw
     )
     counts = {True: 0, False: 0}
     for net in nets:
-        cells = list(itertools.product(range(net.n), repeat=2))
-        scale, phi_mu, entries_mu = _adjugate(net, cells)
+        scale, phi_mu, adj_mu = oracles.adjugate(net)
         phi_g = _lam_poly(phi_mu, scale)
-        entry_mu = dict(zip(cells, entries_mu))
 
-        def entry(i, j, net=net, entry_mu=entry_mu):
-            return _lam_poly(entry_mu[i, j], scale, net.n - 1)
+        def entry(i, j, net=net, adj_mu=adj_mu):
+            return _lam_poly(adj_mu[i][j], scale, net.n - 1)
 
         for u, v in itertools.combinations(range(1, net.n + 1), 2):
             pair = _pair_polys(net, u, v)

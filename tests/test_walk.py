@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
+import oracles
 from latsym import walk
 from latsym.network import Network
 from latsym.ninesite import SINGLET_SITES, build_ninesite
@@ -19,7 +20,6 @@ from latsym.walk import (
     _refine_peak,
     ConvergenceError,
     antisymmetric_confinement,
-    eigenprojector_parity,
     eigh,
     envelope_scan,
     evolution_operator,
@@ -686,23 +686,18 @@ def test_eigh_accepts_entries_at_the_ends_of_the_normal_float_range():
     assert h.tolist() == [[float_info.max, -float_info.min], [-float_info.min, 0.0]]
 
 
-def test_eigenprojector_parity():
-    assert eigenprojector_parity(eigh(build_ninesite()), 2, 6)
-    assert eigenprojector_parity(eigh(path_network(3)), 1, 3)
-    assert not eigenprojector_parity(eigh(path_network(3)), 1, 2)
-    twins = Network(4, [Fraction(0)] * 4, [(1, 2, Fraction(1)), (3, 4, Fraction(1))])
-    assert not eigenprojector_parity(eigh(twins), 1, 3)
-
-
 @pytest.mark.parametrize("scale", [Fraction(1, 10**12), Fraction(1, 10**9), 1, 10**9])
 def test_eigenprojector_parity_agrees_with_exact_verdict_at_any_scale(scale):
     # the cluster tolerance is relative to max|lam|: no absolute floor
     base = build_ninesite()
     twins = Network(4, [Fraction(0)] * 4, [(1, 2, Fraction(1)), (3, 4, Fraction(1))])
-    for net, u, v in [(base, 2, 6), (base, 2, 3), (twins, 1, 3), (path_network(3), 1, 3)]:
+    cases = [(base, 2, 6, True), (base, 2, 3, False), (twins, 1, 3, False),
+             (path_network(3), 1, 3, True), (path_network(3), 1, 2, False)]
+    for net, u, v, strong in cases:
         onsite = [e * scale for e in net.onsite]
         scaled = Network(net.n, onsite, [(i, j, w * scale) for i, j, w in net.edges])
-        assert eigenprojector_parity(eigh(scaled), u, v) == is_strongly_cospectral(scaled, u, v)
+        assert is_strongly_cospectral(scaled, u, v) == strong
+        assert oracles.eigenprojector_parity(eigh(scaled), u, v) == strong
 
 
 @pytest.mark.parametrize("bad", [0, 10])
@@ -720,8 +715,6 @@ def test_walk_functions_refuse_out_of_range_sites(bad):
         lambda: antisymmetric_confinement(sys, bad, 6, SINGLET_SITES, taus),
         lambda: antisymmetric_confinement(sys, 2, bad, SINGLET_SITES, taus),
         lambda: antisymmetric_confinement(sys, 2, 6, [4, bad], taus),
-        lambda: eigenprojector_parity(sys, bad, 6),
-        lambda: eigenprojector_parity(sys, 2, bad),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=f"site {bad} out of range 1..9"):
