@@ -57,7 +57,8 @@ class Network:
     def __init__(self, n: int, onsite: Sequence, edges: Iterable[tuple]):
         if n < 0:
             raise NetworkError("vertex count must be non-negative")
-        onsite_t = tuple(Fraction(e) for e in onsite)
+        # Fraction(x) of a Fraction only copies it, at ~40 times the cost of the type check
+        onsite_t = tuple(e if type(e) is Fraction else Fraction(e) for e in onsite)
         if len(onsite_t) != n:
             raise NetworkError(f"expected {n} on-site values, got {len(onsite_t)}")
         canon = {}
@@ -69,7 +70,7 @@ class Network:
             key = (i, j) if i < j else (j, i)
             if key in canon:
                 raise NetworkError(f"duplicate edge {key}")
-            canon[key] = Fraction(w)
+            canon[key] = w if type(w) is Fraction else Fraction(w)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "onsite", onsite_t)
         object.__setattr__(

@@ -10,6 +10,13 @@ checks, in order: cospectrality, strong cospectrality, irreducibility of both
 parity factors over Q, and the trace-ratio inequality
 Tr(P_plus)/deg(P_plus) != Tr(P_minus)/deg(P_minus).  Irreducibility is exact,
 from factor degrees mod small primes and a Zassenhaus fallback (`is_irreducible`).
+
+`boundary_scan` follows the resultant's sign along a grid of on-site
+potentials in two passes: an exact one that keeps P+/- and the resultant of
+every point, then a numeric one that finds the roots of all the parity
+factors with one `eigvals` call per companion-matrix size, exactly as np.roots
+would one factor at a time, and refuses a factor whose computed roots are not
+real.
 """
 
 import sys
@@ -198,52 +205,112 @@ class BoundaryReport:
         return "\n".join(lines)
 
 
-def _min_root_distance(p_plus: list[int], p_minus: list[int], d: int) -> float:
-    """Least distance between the real parts of the roots in lam of two monic
-    integer polynomials in mu = d*lam.
+# Largest |Im| of a companion eigenvalue, relative to Fujiwara's bound on the
+# root moduli, that `_root_distances` accepts as rounding.  Every root of P+/-
+# is real.  On the nine-site grid and the ends of paths up to 78 sites (degree
+# 39) np.roots returns them with imaginary part exactly 0; on the ends of an
+# 82-site path (degree 41) it returns pairs off the axis by 3e-4 of the bound,
+# and on those of a 100-site path (degree 50) by 0.07.
+_IMAG_TOL = 1e-6
 
-    np.roots reads the coefficients in lam while each is a normal float (the
-    distances the tests compare bit for bit).  At couplings where one is not,
-    it reads them in nu = mu/2^e instead, with 2^e >= |c_i|^(1/(m-i)) for every
-    coefficient c_i of mu^i in a factor of degree m, so none exceeds 1 and every
-    root is below 2 (Fujiwara's bound); the distance is scaled back by 2^e/d
-    exactly.  Raises PGSTError when it is beyond the float range.
-    """
-    import numpy as np
 
+def _root_scale(p_plus: list[int], p_minus: list[int], d: int) -> int:
+    """The s of `_root_distances`: two factors in mu = d*lam are read in mu/s,
+    with s = d (in lam) while every coefficient is then a normal float, else
+    s = 2^e."""
     polys = (p_plus, p_minus)
     try:
-        in_lam = all(
+        if all(
             abs(c / d ** (len(p) - 1 - i)) >= sys.float_info.min
             for p in polys for i, c in enumerate(p) if c
-        )
+        ):
+            return d
     except OverflowError:
-        in_lam = False
-    scale = d if in_lam else 1 << max(
+        pass
+    return 1 << max(
         (-(-c.bit_length() // (len(p) - 1 - i)) for p in polys for i, c in enumerate(p[:-1])),
         default=0,
     )
 
-    def roots(p):
-        m = len(p) - 1
-        return np.roots([p[i] / scale ** (m - i) for i in range(m, -1, -1)]).real
 
-    dist = float(np.abs(roots(p_plus)[:, None] - roots(p_minus)[None, :]).min())
-    try:
-        scaled = float(Fraction(dist) * scale / d)
-    except OverflowError:
-        raise PGSTError(
-            "a parity-factor coefficient exceeds the float range "
-            f"(|x| <= {sys.float_info.max:.4g}) of the numeric root distance; "
-            "use smaller couplings"
-        ) from None
-    if dist and scaled < sys.float_info.min:
-        raise PGSTError(
-            "the parity-factor root distance is below the float range "
-            f"(|x| >= {sys.float_info.min:.4g}) of the numeric root distance; "
-            "use larger couplings"
-        )
-    return scaled
+def _root_distances(
+    factors: Sequence[tuple[list[int], list[int], int]], grid: Sequence[Fraction]
+) -> list[float]:
+    """Least distance between the real parts of the roots in lam of P+ and P-,
+    given as monic integer polynomials in mu = d*lam, at every grid point.
+
+    The roots are the ones np.roots returns, bit for bit.  Each pair of
+    factors is read in lam while every coefficient is a normal float (the
+    distances the tests compare bit for bit), else in nu = mu/2^e, with
+    2^e >= |c_i|^(1/(m-i)) for every coefficient c_i of mu^i in a factor of
+    degree m, so none exceeds 1 and every root is below 2 (Fujiwara's bound).
+    As in np.roots, zero constant terms are stripped and come back as zero
+    roots, and the roots are the eigenvalues of the companion matrix; here the
+    companion matrices of one size are stacked into one `eigvals` call.  The
+    distance is scaled back by 2^e/d exactly.
+
+    Raises PGSTError where a companion eigenvalue is not real within
+    `_IMAG_TOL` of the root bound, then, in grid order, where a distance is
+    beyond the float range.
+    """
+    import numpy as np
+
+    scales = []
+    stacks: dict[int, list] = {}  # size -> (point, factor, coefficients below mu^m, zero roots)
+    for j, (p_plus, p_minus, d) in enumerate(factors):
+        scale = _root_scale(p_plus, p_minus, d)
+        scales.append(scale)
+        for f, p in enumerate((p_plus, p_minus)):
+            m = len(p) - 1
+            c = [p[i] / scale ** (m - i) for i in range(m - 1, -1, -1)]
+            size = m
+            while size and not c[size - 1]:
+                size -= 1
+            stacks.setdefault(size, []).append((j, f, c[:size], size < m))
+    roots = {}
+    for size, group in sorted(stacks.items()):
+        if size:
+            # the factors are monic: the first row is minus the coefficients
+            companion = np.zeros((len(group), size, size))
+            companion[:, 1:, :-1] = np.eye(size - 1)
+            companion[:, 0, :] = -np.array([c for _, _, c, _ in group])
+            w = np.linalg.eigvals(companion)
+        else:
+            w = np.zeros((len(group), 0))
+        if np.iscomplexobj(w):
+            bound = 2 * (np.abs(companion[:, 0, :]) ** (1 / np.arange(1, size + 1))).max(axis=1)
+            bad = (np.abs(w.imag) > _IMAG_TOL * bound[:, None]).any(axis=1)
+            if bad.any():
+                row = int(bad.argmax())
+                j, f = group[row][:2]
+                raise PGSTError(
+                    f"the computed roots of the degree-{len(factors[j][f]) - 1} parity "
+                    f"factor at E = {grid[j]} are not real (|Im| up to "
+                    f"{np.abs(w[row].imag).max():.3g}, though every root is); "
+                    "its numeric root distance would be wrong"
+                )
+            w = w.real
+        for (j, f, _, zero), r in zip(group, w):
+            roots[j, f] = np.append(r, 0.0) if zero else r
+    dists = []
+    for j, ((_, _, d), scale) in enumerate(zip(factors, scales)):
+        dist = float(np.abs(roots[j, 0][:, None] - roots[j, 1][None, :]).min())
+        try:
+            scaled = float(Fraction(dist) * scale / d)
+        except OverflowError:
+            raise PGSTError(
+                "a parity-factor coefficient exceeds the float range "
+                f"(|x| <= {sys.float_info.max:.4g}) of the numeric root distance; "
+                "use smaller couplings"
+            ) from None
+        if dist and scaled < sys.float_info.min:
+            raise PGSTError(
+                "the parity-factor root distance is below the float range "
+                f"(|x| >= {sys.float_info.min:.4g}) of the numeric root distance; "
+                "use larger couplings"
+            )
+        dists.append(scaled)
+    return dists
 
 
 def boundary_scan(
@@ -262,31 +329,40 @@ def boundary_scan(
     by sign changes of that resultant (equivalently, by the dip of the numeric
     minimum root distance through zero), compared between points whose parity
     factors have the same degrees.
+
+    The scan runs in two passes.  The exact pass walks the whole grid and
+    keeps only P+/- (integer polynomials in mu = d*lam), d and the resultant
+    of each point, so it refuses a pair that is not cospectral at any grid
+    point before any numeric work.  The numeric pass (`_root_distances`) then
+    takes the roots of every parity factor from one `eigvals` call per
+    companion-matrix size, bit for bit the roots np.roots would return.  It
+    refuses a factor whose computed roots are not real (np.roots loses the real
+    roots of the degree-41 and higher factors of the ends of long paths), and
+    then, in grid order, a distance beyond the float range.
     """
     if k == 0:
         raise PGSTError("coupling k must be nonzero")
     grid = sorted(Fraction(e) for e in e_grid)
     if not grid:
         raise PGSTError("empty potential grid")
-    points = []
-    degrees = []
+    # exact pass: P+/- in mu, d and the resultant per point, no network kept
+    factors, resultants = [], []
     for e_val in grid:
         pair = _pair_polys(builder(k, e_val), u, v)
         if pair is None:
             raise PGSTError(f"pair ({u}, {v}) is not cospectral at E = {e_val}")
-        p_plus, p_minus = pair.parity_factors
-        res = pair.resultant
-        sign = 0 if res == 0 else (1 if res > 0 else -1)
-        degrees.append((len(p_plus) - 1, len(p_minus) - 1))
-        dist = _min_root_distance(p_plus, p_minus, pair.d)
-        points.append(
-            BoundaryPoint(
-                potential=e_val,
-                strongly_cospectral=res != 0,
-                resultant_sign=sign,
-                min_root_distance=dist,
-            )
+        factors.append((*pair.parity_factors, pair.d))
+        resultants.append(pair.resultant)
+    points = [
+        BoundaryPoint(
+            potential=e_val,
+            strongly_cospectral=res != 0,
+            resultant_sign=0 if res == 0 else (1 if res > 0 else -1),
+            min_root_distance=dist,
         )
+        for e_val, res, dist in zip(grid, resultants, _root_distances(factors, grid))
+    ]
+    degrees = [(len(p_plus) - 1, len(p_minus) - 1) for p_plus, p_minus, _ in factors]
     failures = tuple(p.potential for p in points if not p.strongly_cospectral)
     # A parity factor that loses its leading term at some E (P+ at E = 0 on
     # the nine-site network) flips the resultant's sign with no root crossing,

@@ -11,11 +11,14 @@ over Q, the oracle for the integer one that finds the parity factors.
 `adjugate` gives every entry of adj(mu*I - A) by the dense Faddeev-LeVerrier
 recursion, not latsym's walk engine.  `eigenprojector_parity` is a float
 verdict on strong cospectrality from an eigendecomposition, the cross-check
-of the exact one.
+of the exact one.  `np_roots_distance` is the least parity-root distance of
+one grid point from two `np.roots` calls, the oracle for the stacked
+companion eigenvalues of `boundary_scan`.
 """
 
 from fractions import Fraction
 from math import lcm
+from sys import float_info
 
 import numpy as np
 
@@ -175,3 +178,31 @@ def eigenprojector_parity(sys, u: int, v: int) -> bool:
                 return False
             start = i
     return True
+
+
+def np_roots_distance(p_plus: list[int], p_minus: list[int], d: int) -> float:
+    """Least distance between the real parts of the roots in lam of two monic
+    integer polynomials in mu = d*lam, from one `np.roots` call on each.
+
+    They are read in lam while every coefficient is then a normal float, else
+    in nu = mu/2^e with 2^e >= |c_i|^(1/(m-i)) for every coefficient c_i of
+    mu^i in a factor of degree m; the distance is scaled back by 2^e/d exactly.
+    """
+    polys = (p_plus, p_minus)
+    try:
+        in_lam = all(
+            abs(c / d ** (len(p) - 1 - i)) >= float_info.min
+            for p in polys for i, c in enumerate(p) if c
+        )
+    except OverflowError:
+        in_lam = False
+    scale = d if in_lam else 1 << max(
+        -(-c.bit_length() // (len(p) - 1 - i)) for p in polys for i, c in enumerate(p[:-1])
+    )
+
+    def roots(p):
+        m = len(p) - 1
+        return np.roots([p[i] / scale ** (m - i) for i in range(m, -1, -1)]).real
+
+    dist = float(np.abs(roots(p_plus)[:, None] - roots(p_minus)[None, :]).min())
+    return float(Fraction(dist) * scale / d)

@@ -360,3 +360,16 @@ def test_check_pair():
         net.check_pair(1, 1)
     with pytest.raises(NetworkError):
         net.check_pair(0, 2)
+
+
+def test_network_keeps_exact_fractions_and_converts_the_rest():
+    half = Fraction(1, 2)
+
+    class Half(Fraction):
+        pass
+
+    net = Network(3, [half, 1, Half(1, 2)], [(1, 2, half), (2, 3, Half(1, 2))])
+    assert net.onsite[0] is half and net.edges[0][2] is half
+    assert all(type(x) is Fraction for x in (*net.onsite, *(w for *_, w in net.edges)))
+    other = Network(3, ["1/2", Fraction(1), 0.5], [(2, 1, 0.5), (3, 2, "1/2")])
+    assert net == other and hash(net) == hash(other) and repr(net) == repr(other)

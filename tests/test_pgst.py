@@ -466,6 +466,92 @@ def test_boundary_scan_input_validation():
         boundary_scan(build_ninesite, Fraction(1), [Fraction(1)], u=1, v=5)
 
 
+def ends_with_potential(n):
+    """A path of n sites, coupling k, with potential E on both end sites."""
+
+    def build(k, e):
+        onsite = [Fraction(0)] * n
+        onsite[0] = onsite[-1] = e
+        return Network(n, onsite, [(i, i + 1, k) for i in range(1, n)])
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "builder, k, grid, u, v, in_lam",
+    [
+        # P+ drops from degree 7 to 6 at E = 0: two companion sizes for P+
+        (build_ninesite, Fraction(27, 50), frange("-3/100", "3/100", "1/100"), 2, 6, True),
+        # P- = lam - E of degree 1, and P- = lam at E = 0: a zero root, no companion
+        (ends_with_potential(3), Fraction(1), frange("-1/2", "1/2", "1/4"), 1, 3, True),
+        # large and small couplings still read in lam, and the nu-scaled branch
+        (build_ninesite, Fraction(10**7), [Fraction(10**6), Fraction(0)], 2, 6, True),
+        (build_ninesite, Fraction(1, 10**13), [Fraction(1, 10**14), Fraction(0)], 2, 6, True),
+        (build_ninesite, Fraction(10**100), [Fraction(10**99), Fraction(0)], 2, 6, False),
+        (build_ninesite, Fraction(1, 10**100), [Fraction(1, 10**101), Fraction(0)], 2, 6, False),
+        # one point, and an unsorted grid
+        (build_ninesite, Fraction(1), [Fraction(241, 100)], 2, 6, True),
+        (build_ninesite, Fraction(27, 50), [Fraction(13, 10), Fraction(-1, 5), Fraction(0),
+                                            Fraction(7, 10)], 2, 6, True),
+    ],
+)
+def test_boundary_distances_equal_a_per_point_np_roots_oracle(builder, k, grid, u, v, in_lam):
+    # one eigvals call per companion size returns what np.roots returns for
+    # each factor alone, so every distance is bit-identical to the oracle's
+    report = boundary_scan(builder, k, grid, u=u, v=v)
+    assert [p.potential for p in report.points] == sorted(grid)
+    for point in report.points:
+        pair = _pair_polys(builder(k, point.potential), u, v)
+        p_plus, p_minus = pair.parity_factors
+        assert (pgst._root_scale(p_plus, p_minus, pair.d) == pair.d) == in_lam
+        want = oracles.np_roots_distance(p_plus, p_minus, pair.d)
+        assert point.min_root_distance.hex() == want.hex()
+
+
+def test_boundary_scan_refuses_a_non_cospectral_point_before_any_float_range():
+    # the exact pass walks the whole grid before any root is computed
+    def builder(k, e):
+        if e == 2:  # a potential on site 1 alone breaks cospectrality of (2, 6)
+            return Network(9, [e] + [Fraction(0)] * 8, build_ninesite(k).edges)
+        return build_ninesite(k * 10**400 if e == 1 else k, e)
+
+    with pytest.raises(PGSTError, match="not cospectral at E = 2"):
+        boundary_scan(builder, Fraction(1), [Fraction(2), Fraction(0), Fraction(1)])
+    with pytest.raises(PGSTError, match="exceeds the float range"):
+        boundary_scan(builder, Fraction(1), [Fraction(0), Fraction(1)])
+
+
+def test_boundary_scan_refuses_non_real_roots():
+    # every root of P+/- is real, but np.roots returns the degree-50 factors
+    # of the ends of a 100-site path with imaginary parts up to 0.07
+    with pytest.raises(PGSTError, match="degree-50 parity factor at E = 0 are not real"):
+        boundary_scan(ends_with_potential(100), Fraction(1), [Fraction(0)], u=1, v=100)
+    # at degree 30 they come back exactly real
+    report = boundary_scan(
+        ends_with_potential(60), Fraction(1), [Fraction(0), Fraction(1, 3)], u=1, v=60
+    )
+    assert all(p.min_root_distance > 0 for p in report.points)
+
+
+def test_boundary_scan_keeps_only_the_polynomials_per_point():
+    # the exact pass keeps P+/-, d and the resultant of each point, never its
+    # network or walk data: 0.75 MB peak on this grid, 3.2 MB if each point's
+    # _PairPolys (with its network) is kept
+    import tracemalloc
+
+    import numpy  # noqa: F401  (imported before tracing starts)
+
+    grid = [Fraction(i, 100) for i in range(-200, 200)]
+    boundary_scan(build_ninesite, Fraction(27, 50), grid[:5])
+    tracemalloc.start()
+    try:
+        boundary_scan(build_ninesite, Fraction(27, 50), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+
+
 def twin_chains(k, e):
     return Network(4, [e, Fraction(0), e, Fraction(0)], [(1, 2, k), (3, 4, k)])
 
