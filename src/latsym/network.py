@@ -39,13 +39,17 @@ def parse_rational(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class _IntegerForm:
-    """A = d*H in integers, d the common denominator of H, and walk data on it."""
+    """A = d*H in integers, d the common denominator of H, and walk data and
+    swap verdicts on it."""
 
     d: int
     rows: tuple[tuple[tuple[int, int], ...], ...]  # row i of A as (0-based site j, A_ij)
     # 0-based site -> closed-walk state, filled by `spectral`; each entry is an
     # immutable value replaced whole, so a reader never sees half of one
     walks: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=dict)
+    # (u, v) and (v, u), 1-based, of a cospectral pair -> `has_swap_automorphism`'s
+    # verdict, stored under both orders once its search has run
+    swaps: dict[tuple[int, int], bool] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -211,14 +215,24 @@ def has_swap_automorphism(net: Network, u: int, v: int) -> bool:
     keeps A, so (A^t)_ux = (A^t)_(v, sigma x).  The two walks are the walk
     engine's.  Backtracking over these candidates, fewest first, keeps its
     choices on an explicit stack and checks each new pair against the rows of
-    A of the sites already placed.
+    A of the sites already placed.  The network keeps the verdict of a
+    cospectral pair under both orders, so each pair is searched once.
     """
-    from .spectral import _row_walk, is_cospectral  # spectral imports this module
+    from .spectral import is_cospectral  # spectral imports this module
 
     if not is_cospectral(net, u, v):
         return False
+    swaps = net._integer_form.swaps
+    if (u, v) not in swaps:
+        swaps[u, v] = swaps[v, u] = _swap_search(net, u - 1, v - 1)
+    return swaps[u, v]
+
+
+def _swap_search(net: Network, u: int, v: int) -> bool:
+    """The backtracking of `has_swap_automorphism` for 0-based sites u, v."""
+    from .spectral import _row_walk
+
     n, rows = net.n, net._integer_form.rows
-    u, v = u - 1, v - 1
     from_u, from_v = (list(zip(*_row_walk(rows, w, n))) for w in (u, v))
     groups: dict[tuple, list[int]] = {}
     for x in range(n):

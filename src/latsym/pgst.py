@@ -8,8 +8,10 @@ e_u + e_v (e_u - e_v), so strong cospectrality is resultant(P_plus, P_minus)
 != 0 (the `spectral` module docstring has the proof).  A transfer certificate
 checks, in order: cospectrality, strong cospectrality, irreducibility of both
 parity factors over Q, and the trace-ratio inequality
-Tr(P_plus)/deg(P_plus) != Tr(P_minus)/deg(P_minus).  Irreducibility is exact,
-from factor degrees mod small primes and a Zassenhaus fallback (`is_irreducible`).
+Tr(P_plus)/deg(P_plus) != Tr(P_minus)/deg(P_minus).  Irreducibility is exact
+(`is_irreducible`): a quadratic by its discriminant, any other degree from
+factor degrees mod small primes, one Frobenius matrix per prime, and a
+Zassenhaus fallback.
 
 `boundary_scan` follows the resultant's sign along a grid of on-site
 potentials in two passes: an exact one that keeps P+/- and the resultant of

@@ -342,11 +342,37 @@ def _mod_pow(a: list[int], e: int, f: list[int], m: int) -> list[int]:
 
 
 def _distinct_degree(f: list[int], p: int) -> list[tuple[int, list[int]]]:
-    """(d, product of the degree-d irreducible factors) of a monic square-free f mod p."""
-    out, h, d = [], [0, 1], 0
+    """(d, product of the degree-d irreducible factors) of a monic square-free f mod p.
+
+    gcd(f, x^(p^d) - x) is that product for d = 1, 2, ... while f, with the
+    factors found so far divided out, can still hold two factors of degree d.
+    x^p mod f comes from one binary powering.  Each later h = x^(p^d) is one
+    product with a Frobenius matrix (Berlekamp's Q-matrix; von zur Gathen &
+    Gerhard, Modern Computer Algebra, ch. 14): over F_p h(x)^p = h(x^p), so
+    x^(p^(d+1)) = sum_i h_i x^(ip) mod f0, with f0 the f that d = 2 starts
+    from.  Its rows x^(ip) mod f0, i < deg f0, cost deg f0 - 2 products mod
+    f0 and are kept as their nonzero entries; an f of degree <= 3 never needs
+    them.  h stays reduced modulo f0 while the gcds run against the shrinking
+    f, which divides f0, so every gcd is the one taken modulo f.
+    """
+    out, d, frob = [], 0, None
     while 2 * (d + 1) <= len(f) - 1:
         d += 1
-        h = _mod_pow(h, p, f, p)  # x^(p^d) mod f
+        if d == 1:
+            h = _mod_pow([0, 1], p, f, p)
+        else:
+            if frob is None:  # frob[i]: (j, coefficient of x^j) of x^(ip) mod f0, nonzero ones
+                f0, h = f, _mod_divmod(h, f, p)[1]
+                rows = [[1], h]
+                while len(rows) < len(f0) - 1:
+                    rows.append(_mod_mul(rows[-1], h, p, f0))
+                frob = [[(j, c) for j, c in enumerate(r) if c] for r in rows]
+            acc = [0] * (len(f0) - 1)
+            for a, row in zip(h, frob):
+                if a:
+                    for j, c in row:
+                        acc[j] += a * c
+            h = _trim([c % p for c in acc])
         g = _mod_gcd(f, _mod_add(h, [0, 1], p, -1), p)
         if len(g) > 1:
             out.append((d, g))
@@ -414,11 +440,13 @@ def is_irreducible(p: RationalPoly) -> bool:
     p is scaled to a primitive integer f with lc(f) > 0.  Degree 1 is
     irreducible; a zero constant term or a repeated factor (gcd(f, f') in Z[x],
     taken once f has repeated factors mod five primes) makes f reducible.  A
-    factorisation f = g*h over Z survives mod each prime p not dividing lc(f),
-    so deg g is a sum of degrees of factors mod p.  Distinct-degree
-    factorisation at up to five primes with f mod p square-free proves f
-    irreducible once no degree but 0 and deg f is possible at all of them.
-    Otherwise (Zassenhaus) the factors at the prime with the fewest are
+    quadratic a*x^2 + b*x + c is irreducible exactly when its roots are not
+    rational, that is when b^2 - 4ac is not a perfect square; no prime is
+    tried for it.  A factorisation f = g*h over Z survives mod each prime p
+    not dividing lc(f), so deg g is a sum of degrees of factors mod p.
+    Distinct-degree factorisation at up to five primes with f mod p
+    square-free proves f irreducible once no degree but 0 and deg f is
+    possible at all of them.  Otherwise (Zassenhaus) the factors at the prime with the fewest are
     Hensel-lifted past the Mignotte bound and subset products of a possible
     degree are trial-divided into f: f is reducible iff one divides."""
     if p.degree < 1:
@@ -427,6 +455,9 @@ def is_irreducible(p: RationalPoly) -> bool:
     n, degrees, best, good, bad = len(f) - 1, set(range(len(f))), (len(f),), 0, 0
     if n == 1 or f[0] == 0:
         return n == 1
+    if n == 2:
+        disc = f[1] * f[1] - 4 * f[2] * f[0]
+        return disc < 0 or isqrt(disc) ** 2 != disc
     for p in count(3, 2):
         if f[-1] % p == 0 or any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
             continue

@@ -13,7 +13,10 @@ recursion, not latsym's walk engine.  `eigenprojector_parity` is a float
 verdict on strong cospectrality from an eigendecomposition, the cross-check
 of the exact one.  `np_roots_distance` is the least parity-root distance of
 one grid point from two `np.roots` calls, the oracle for the stacked
-companion eigenvalues of `boundary_scan`.
+companion eigenvalues of `boundary_scan`.  `distinct_degree` is the
+distinct-degree factorisation mod p that powers h <- h^p mod f afresh for
+every degree d, on latsym's mod-p helpers: the oracle for the Frobenius
+matrix of `polynomial._distinct_degree`.
 """
 
 from fractions import Fraction
@@ -22,7 +25,7 @@ from sys import float_info
 
 import numpy as np
 
-from latsym.polynomial import RationalPoly
+from latsym.polynomial import RationalPoly, _mod_add, _mod_divmod, _mod_gcd, _mod_pow
 
 ONE = RationalPoly([1])
 LAM = RationalPoly([0, 1])
@@ -206,3 +209,17 @@ def np_roots_distance(p_plus: list[int], p_minus: list[int], d: int) -> float:
 
     dist = float(np.abs(roots(p_plus)[:, None] - roots(p_minus)[None, :]).min())
     return float(Fraction(dist) * scale / d)
+
+
+def distinct_degree(f: list[int], p: int) -> list[tuple[int, list[int]]]:
+    """(d, product of the degree-d irreducible factors) of a monic square-free f
+    mod p, with x^(p^d) mod f by one binary powering per d."""
+    out, h, d = [], [0, 1], 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = _mod_pow(h, p, f, p)  # x^(p^d) mod f
+        g = _mod_gcd(f, _mod_add(h, [0, 1], p, -1), p)
+        if len(g) > 1:
+            out.append((d, g))
+            f = _mod_divmod(f, g, p)[0]
+    return out + [(len(f) - 1, f)] * (len(f) > 1)

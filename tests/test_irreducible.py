@@ -8,6 +8,7 @@ import random
 import signal
 from fractions import Fraction
 
+import oracles
 import pytest
 import sympy
 
@@ -173,3 +174,81 @@ def test_parity_factors_at_extreme_couplings_agree_with_sympy(oracle_networks):
 def test_is_irreducible_is_the_same_on_every_run():
     cases = list(HARD.values()) * 2
     assert [is_irreducible(p) for p in cases] == [is_irreducible(p) for p in cases]
+
+
+def _random_squarefree_mod(rng: random.Random, p: int, degree: int) -> list[int]:
+    """A monic square-free polynomial of the given degree mod p, often a planted product."""
+    while True:
+        f = [1]
+        while len(f) - 1 < degree:  # factors of random degree, the last one filling up
+            k = rng.randint(1, degree - len(f) + 1)
+            f = polynomial._mod_mul(f, [rng.randrange(p) for _ in range(k)] + [1], p)
+        fp = [i * c % p for i, c in enumerate(f)][1:]
+        if len(polynomial._mod_gcd(f, polynomial._trim(fp), p)) == 1:
+            return f
+
+
+def test_distinct_degree_equals_the_powering_oracle(monkeypatch):
+    rng = random.Random(33)
+    primes = [p for p in range(3, 102) if all(p % q for q in range(2, p))]
+    calls = []
+    powering = polynomial._mod_pow
+
+    def counted(*args):
+        calls.append(args[1])
+        return powering(*args)
+
+    # one input in five of degree <= 3, where no second degree d runs
+    degrees = [rng.randint(4, 40) if i % 5 else rng.randint(1, 3) for i in range(8 * len(primes))]
+    cases = [(p, _random_squarefree_mod(rng, p, n)) for p, n in zip(primes * 8, degrees)]
+    seen = {"degree <= 3": 0, "divided mid-loop": 0, "p < degree": 0, "p > degree": 0}
+    for p, f in cases:
+        want = oracles.distinct_degree(f, p)
+        monkeypatch.setattr(polynomial, "_mod_pow", counted)
+        calls.clear()
+        assert polynomial._distinct_degree(f, p) == want, (f, p)
+        monkeypatch.undo()
+        assert calls == ([p] if len(f) > 2 else [])  # x^p, once per prime and input
+        n = len(f) - 1
+        seen["degree <= 3"] += n <= 3
+        seen["divided mid-loop"] += len(want) > 2  # a second product found after the first
+        seen["p < degree"] += p < n
+        seen["p > degree"] += p > n
+    assert min(seen.values()) >= 20, seen
+
+
+def _random_quadratic(rng: random.Random) -> RationalPoly:
+    def q() -> Fraction:
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+    kind = rng.randrange(4)
+    if kind == 0:  # a planted product of two linear factors: a perfect-square discriminant
+        f = RationalPoly([q(), q() or 1]) * RationalPoly([q(), q() or 1])
+    elif kind == 1:  # discriminant 0: k (c x + b)^2
+        b, c = q(), q() or 1
+        f = RationalPoly([b * b, 2 * b * c, c * c]) * (q() or 1)
+    elif kind == 2:  # a negative discriminant: b^2 < 4ac
+        b, c = q(), Fraction(rng.randint(1, 30), rng.randint(1, 12))
+        f = RationalPoly([b * b / (4 * c) + c, b, c])
+    else:
+        f = RationalPoly([q(), q(), q() or 1])
+    return f * Fraction(-7, 5) if rng.random() < 0.5 else f
+
+
+def test_quadratics_are_decided_by_their_discriminant(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a quadratic reached the distinct-degree factorisation")
+
+    monkeypatch.setattr(polynomial, "_distinct_degree", forbidden)
+    rng = random.Random(2026)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        p = _random_quadratic(rng)
+        assert p.degree == 2
+        want = sympy_irreducible(p)
+        assert is_irreducible(p) == want, p
+        verdicts[want] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+    # HARD's five-bad-prime quadratic, (2x + 3)^2 and x^2 + 1
+    for p in (HARD["x^2-15015"], HARD["x^2-15015"] * Fraction(-7, 5), poly(4, 12, 9), poly(1, 0, 1)):
+        assert is_irreducible(p) == sympy_irreducible(p)

@@ -18,6 +18,7 @@ from latsym.network import (
     serialize_network,
 )
 from latsym.ninesite import build_ninesite
+from latsym.pgst import pgst_certificate
 from latsym.spectral import is_cospectral
 
 
@@ -194,6 +195,40 @@ def test_swap_search_is_not_entered_for_a_pair_that_is_not_cospectral(monkeypatc
         has_swap_automorphism(net, 1, 5)  # a cospectral pair does enter it
     with pytest.raises(NetworkError):
         has_swap_automorphism(net, 2, 2)
+
+
+def test_swap_verdict_is_kept_for_both_orders_of_a_pair(monkeypatch, oracle_networks):
+    # the nine-site pair is latent; swapping sites 1 and 2 maps a mirrored network to itself
+    cases = [(build_ninesite(), 2, 6, False), (oracle_networks[-1], 1, 2, True)]
+    for net, u, v, want in cases:
+        assert has_swap_automorphism(net, u, v) == want
+
+    def refuse(rows, i, n):
+        raise AssertionError("swap search entered twice for one pair")
+
+    monkeypatch.setattr(latsym.spectral, "_row_walk", refuse)
+    for net, u, v, want in cases:
+        assert has_swap_automorphism(net, u, v) == has_swap_automorphism(net, v, u) == want
+        assert latsym.spectral.is_latent_symmetric(net, v, u) == (not want)
+    for net, u, v, _ in cases:  # an equal copy keeps no verdict
+        with pytest.raises(AssertionError, match="entered twice"):
+            has_swap_automorphism(Network(net.n, net.onsite, net.edges), v, u)
+
+
+def test_latent_check_and_certificate_search_once(monkeypatch):
+    calls = []
+    search = latsym.network._swap_search
+
+    def counted(net, u, v):
+        calls.append((u, v))
+        return search(net, u, v)
+
+    monkeypatch.setattr(latsym.network, "_swap_search", counted)
+    net = build_ninesite()
+    assert latsym.spectral.is_latent_symmetric(net, 2, 6)
+    cert = pgst_certificate(net, 6, 2)
+    assert cert.cospectral and not cert.swap_automorphism
+    assert calls == [(1, 5)]
 
 
 def test_swap_automorphism_respects_weights():
