@@ -44,7 +44,8 @@ def parity_decompose(net: Network, u: int, v: int) -> ParityDecomposition:
     """Split char_poly into p_plus * p_minus * p_zero for a strongly cospectral pair.
 
     Parity factors are the numerators of a(lam) +/- b(lam) - lam after full
-    cancellation, normalized monic; p_zero = char_poly/(p_plus * p_minus), exactly.
+    cancellation, normalized monic; p_zero = char_poly/(p_plus * p_minus), from
+    its own power sums, without computing char_poly.
     """
     pair = _pair_polys(net, u, v)
     if pair is None:

@@ -44,7 +44,11 @@ P+/- is square-free and coprime to N+/-, so the reduction polynomial
 share one.  Strong cospectrality is therefore resultant(P+, P-) != 0.  That
 test, the moments, P+/- and the split of phi(G) into P+ P- P0 live in one
 place, the pair data `_pair_polys` returns; every caller in latsym reads them
-from there, and only the split reads phi(G).
+from there, and none reads phi(G).  In mu, P0 is monic of degree
+m = n - deg P+ - deg P-, and power sums add over a product, so P0's are
+tr A^i - p_i(P+ P-), i <= m, and Newton's identities give P0 from them: the
+traces from the walk table extended only to depth m, p_i(P+ P-) from its
+coefficients.
 
 Cospectrality and singlets need no adjugate.  B_k is unitriangular in the
 powers, so adj_uw = adj_vw iff (A^j)_uw = (A^j)_vw for every j < n, w = u, v
@@ -59,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple, Sequence
 
 from .network import Network, has_swap_automorphism
@@ -137,17 +141,41 @@ def _walk_singlets(net: Network, u: int, v: int) -> frozenset[int]:
     return frozenset(w + 1 for w in alive)
 
 
+def _traces(net: Network, m: int) -> list[int]:
+    """tr A^i = sum_w s_i(w), i = 1..m, from the walk table extended to depth m."""
+    counts = [_closed_walks(net, w, m) for w in range(net.n)]
+    return [sum(s[i] for s in counts) for i in range(1, m + 1)]
+
+
+def _from_power_sums(p: Sequence[int]) -> list[int]:
+    """The monic polynomial, ascending, whose roots have the power sums
+    p_1, ..., p_m: c_0 = 1 and c_k = -(sum_(i<=k) c_(k-i) p_i)/k (Newton's
+    identities).  Raises ValueError where a division leaves a remainder, as
+    then no monic integer polynomial has these power sums."""
+    cs = [1]
+    for k in range(1, len(p) + 1):
+        c, rem = divmod(-sum(map(mul, cs[::-1], p)), k)
+        if rem:
+            raise ValueError(f"power sums give the non-integer coefficient c_{k}")
+        cs.append(c)
+    return cs[::-1]
+
+
+def _power_sums(f: list[int], m: int) -> list[int]:
+    """p_1, ..., p_m of the roots of a monic integer polynomial f, ascending:
+    p_k = -k c_k - sum_(i<k) c_(k-i) p_i, Newton's identities solved the other way."""
+    c = f[::-1] + [0] * (m + 1 - len(f))
+    p: list[int] = []
+    for k in range(1, m + 1):
+        p.append(-k * c[k] - sum(map(mul, c[k - 1 : 0 : -1], p)))
+    return p
+
+
 def _adjugate(net: Network) -> tuple[int, list[int]]:
     """d and d^n phi(G) = det(mu*I - A), mu = d*lam, as an ascending integer
-    list: its coefficients c_k from the power sums p_i = sum_w s_i(w) by
-    Newton's identities (module docstring)."""
-    n = net.n
-    counts = [_closed_walks(net, w, n) for w in range(n)]
-    p = [sum(s[i] for s in counts) for i in range(1, n + 1)]
-    cs = [1]
-    for k in range(1, n + 1):
-        cs.append(-sum(map(mul, cs[::-1], p)) // k)
-    return net._integer_form.d, cs[::-1]
+    list: its coefficients from the power sums tr A^i, i <= n, by Newton's
+    identities (module docstring)."""
+    return net._integer_form.d, _from_power_sums(_traces(net, net.n))
 
 
 def char_poly(net: Network) -> RationalPoly:
@@ -211,7 +239,7 @@ class _PairPolys:
     """A cospectral pair (u, v) of a network and the parity data that the
     reduction and every strong-cospectrality decision read from it: the walk
     moments, P+/-, their resultant and, for a strongly cospectral pair, the
-    split of phi(G), as integer polynomials in mu = d*lam.  Only the split
+    split of phi(G), as integer polynomials in mu = d*lam.  None of them
     reads phi(G)."""
 
     net: Network
@@ -260,15 +288,19 @@ class _PairPolys:
     def decomposition(self) -> ParityDecomposition | None:
         """P+, P- and P0 = phi(G)/(P+ P-) in lam; None unless strongly cospectral.
 
-        P+ and P- are coprime monic divisors of phi(G) in Z[mu], so P0 divides
-        out exactly.
+        P+ and P- are coprime monic divisors of d^n phi(G) in Z[mu], so P0 is
+        monic of degree m = n - deg P+ - deg P-, with the power sums
+        tr A^i - p_i(P+ P-), i = 1..m (module docstring).
         """
         if self.resultant == 0:
             return None
         p_plus, p_minus = self.parity_factors
-        d, phi_g = _adjugate(self.net)
-        p_zero = _int_exact_div(phi_g, _int_mul(p_plus, p_minus))
-        return ParityDecomposition(*(_lam_poly(p, d) for p in (p_plus, p_minus, p_zero)))
+        m = self.net.n + 2 - len(p_plus) - len(p_minus)
+        if m < 0:
+            raise ValueError("deg P+ + deg P- exceeds the number of sites")
+        rest = _power_sums(_int_mul(p_plus, p_minus), m)
+        p_zero = _from_power_sums(list(map(sub, _traces(self.net, m), rest)))
+        return ParityDecomposition(*(_lam_poly(p, self.d) for p in (p_plus, p_minus, p_zero)))
 
 
 def _pair_polys(net: Network, u: int, v: int) -> _PairPolys | None:

@@ -1,9 +1,28 @@
+import functools
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from latsym.network import Network
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+@functools.cache
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def grow(n_total, gen_seed):
+    """A fresh copy of the benchmark's grown nine-site network: chains hung off
+    its singlet sites, (2, 6) cospectral and latent (perfbench/workloads.py)."""
+    return _workloads().grow(n_total, gen_seed)
 
 
 def random_network(rng, n):

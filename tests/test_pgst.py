@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 import oracles
+from conftest import grow
 from latsym.network import Network
 from latsym.ninesite import build_ninesite
 from latsym.pgst import (
@@ -21,7 +22,7 @@ from latsym.pgst import (
     pgst_certificate,
 )
 from latsym import pgst, polynomial, spectral
-from latsym.polynomial import RationalPoly
+from latsym.polynomial import RationalPoly, _lam_poly
 from latsym.spectral import (
     _pair_polys,
     char_poly,
@@ -582,18 +583,18 @@ def test_one_adjugate_pass_per_public_call(monkeypatch):
     monkeypatch.setattr(spectral, "_adjugate", counted)
     twins = Network(4, [Fraction(0)] * 4, [(1, 2, Fraction(1)), (3, 4, Fraction(1))])
     cases = [
-        (pgst_certificate, build_ninesite(), 2, 6, 1),  # certified
-        (pgst_certificate, path_network(3), 1, 3, 1),  # literal condition fails
+        (pgst_certificate, build_ninesite(), 2, 6, 0),  # certified
+        (pgst_certificate, path_network(3), 1, 3, 0),  # literal condition fails
         (pgst_certificate, twins, 1, 3, 0),  # not strongly cospectral: no phi(G)
         (pgst_certificate, path_network(3), 1, 2, 0),  # not cospectral
-        (parity_decompose, build_ninesite(), 2, 6, 1),
+        (parity_decompose, build_ninesite(), 2, 6, 0),
         (is_strongly_cospectral, build_ninesite(), 2, 6, 0),
         (is_strongly_cospectral, twins, 1, 3, 0),
         (is_strongly_cospectral, path_network(3), 1, 2, 0),
         (isospectral_reduction, build_ninesite(), 2, 6, 0),
     ]
     # a pair that is not cospectral is decided by its closed-walk counts alone,
-    # and P+/- and the reduction come from the pair's own walk; only P0 reads phi(G)
+    # and P+/- and the reduction come from the pair's own walk; only char_poly reads phi(G)
     for fn, net, u, v, passes in cases:
         calls.clear()
         fn(net, u, v)
@@ -609,6 +610,58 @@ def test_one_adjugate_pass_per_public_call(monkeypatch):
     calls.clear()
     boundary_scan(build_ninesite, Fraction(1), frange(5, 6, "1/2"))
     assert len(calls) == 0
+
+
+def test_a_certificate_walks_each_other_site_only_to_depth_deg_p_zero():
+    # P0 reads tr A^i for i <= m = deg P0 alone: each site outside the pair is
+    # walked ceil(m/2) products deep, two counts per product, or not at all
+    for net, u, v, m in [
+        (build_ninesite(), 2, 6, 1),
+        (grow(20, 1), 2, 6, 4),
+        (grow(40, 2), 2, 6, 8),
+        (path_network(30), 1, 30, 0),
+    ]:
+        assert pgst_certificate(net, u, v).p_zero.degree == m
+        walks = net._integer_form.walks
+        others = [w for w in range(net.n) if w not in (u - 1, v - 1)]
+        counts = [len(walks[w][0]) if w in walks else None for w in others]
+        assert counts == [2 * -(-m // 2) + 1 if m else None] * len(others)
+
+
+def test_p_zero_is_char_poly_over_the_parity_factors(oracle_networks):
+    # oracle: phi(G) in mu divided exactly by P+ P-; the mirrored nets can put
+    # one theta in both P+ and P0
+    nets = [
+        *oracle_networks,
+        grow(11, 0),
+        grow(20, 1),
+        grow(40, 2),
+        build_ninesite(Fraction(10**7)),
+        build_ninesite(Fraction(1, 10**13)),
+    ]
+    cases = [
+        (net, u, v)
+        for net in nets
+        for u, v in itertools.combinations(range(1, net.n + 1), 2)
+        if is_strongly_cospectral(net, u, v)
+    ]
+    cases += [(path_network(n), 1, n) for n in range(2, 41)]
+    for net, u, v in cases:
+        pair = _pair_polys(net, u, v)
+        p_plus, p_minus = pair.parity_factors
+        d, phi = spectral._adjugate(Network(net.n, net.onsite, net.edges))
+        want = _lam_poly(polynomial._int_exact_div(phi, polynomial._int_mul(p_plus, p_minus)), d)
+        assert parity_decompose(net, u, v).p_zero == want
+    assert len(cases) >= 51
+
+
+def test_certificate_on_the_ends_of_a_long_path_reads_no_characteristic_polynomial(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the certificate computed phi(G)")
+
+    monkeypatch.setattr(spectral, "_adjugate", refuse)
+    cert = pgst_certificate(path_network(150), 1, 150)
+    assert (cert.p_plus.degree, cert.p_minus.degree, cert.p_zero) == (75, 75, RationalPoly([1]))
 
 
 def test_parity_signs_are_negative_on_every_strongly_cospectral_pair(oracle_networks):

@@ -517,6 +517,20 @@ def test_minor_engine_satisfies_jacobi_identity_against_cofactors(oracle_network
             assert pair is None or pair.d == scale
 
 
+def test_power_sums_of_no_monic_integer_polynomial_raise():
+    # p1 = 1, p2 = 2: c1 = -1, c2 = -(c1 p1 + p2)/2 = -1/2
+    with pytest.raises(ValueError, match="non-integer coefficient c_2"):
+        spectral._from_power_sums([1, 2])
+    # roots 0 and 1 have every power sum 1
+    assert spectral._from_power_sums([1, 1]) == [0, -1, 1]
+    assert spectral._power_sums([0, -1, 1], 4) == [1, 1, 1, 1]
+    # P+ and P- of degree 5 each leave a nine-site P0 of degree -1
+    pair = _pair_polys(build_ninesite(), 2, 6)
+    pair.__dict__["parity_factors"] = ([0, 0, 0, 0, 0, 1], [-1, 0, 0, 0, 0, 1])
+    with pytest.raises(ValueError, match="exceeds the number of sites"):
+        pair.decomposition
+
+
 def test_exact_engine_at_extreme_couplings():
     # strong and tiny couplings in one network; the mirror-symmetric 4-site
     # chain makes (1, 4) cospectral while (1, 2) is not
