@@ -43,9 +43,10 @@ class PGSTError(ValueError):
 def parity_decompose(net: Network, u: int, v: int) -> ParityDecomposition:
     """Split char_poly into p_plus * p_minus * p_zero for a strongly cospectral pair.
 
-    Parity factors are the numerators of a(lam) +/- b(lam) - lam after full
-    cancellation, normalized monic; p_zero = char_poly/(p_plus * p_minus), from
-    its own power sums, without computing char_poly.
+    p_plus and p_minus, the minimal polynomials of the walk moments
+    (A^j)_vv +/- (A^j)_uv, are the monic numerators of lam - a(lam) -/+ b(lam)
+    after full cancellation; p_zero = char_poly/(p_plus * p_minus), from its
+    own power sums, without computing char_poly.
     """
     pair = _pair_polys(net, u, v)
     if pair is None:

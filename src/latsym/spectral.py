@@ -42,9 +42,9 @@ mu^(-j-1): the first deg P+/- moments, no phi(G), and monic since s+/-_0 = 1.
 P+/- is square-free and coprime to N+/-, so the reduction polynomial
 (lam - a)^2 - b^2 = P+ P-/(N+ N-) has a double root exactly where P+ and P-
 share one.  Strong cospectrality is therefore resultant(P+, P-) != 0.  That
-test, the moments, P+/- and the split of phi(G) into P+ P- P0 live in one
-place, the pair data `_pair_polys` returns; every caller in latsym reads them
-from there, and none reads phi(G).  In mu, P0 is monic of degree
+test, the moments, P+/-, N+/- and the split of phi(G) into P+ P- P0 live in
+one place, the pair data `_pair_polys` returns; every caller in latsym reads
+them from there, and none reads phi(G).  In mu, P0 is monic of degree
 m = n - deg P+ - deg P-, and power sums add over a product, so P0's are
 tr A^i - p_i(P+ P-), i <= m, and Newton's identities give P0 from them: the
 traces from the walk table extended only to depth m, p_i(P+ P-) from its
@@ -59,7 +59,7 @@ Everything in this module is exact integer or rational arithmetic; identical
 inputs give bit-identical outputs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -74,7 +74,6 @@ from .polynomial import (
     _int_gcd,
     _int_mul,
     _int_resultant,
-    _integer_coeffs,
     _lam_poly,
     _trim,
 )
@@ -238,9 +237,9 @@ def _min_poly(seq: Sequence[int]) -> list[int]:
 class _PairPolys:
     """A cospectral pair (u, v) of a network and the parity data that the
     reduction and every strong-cospectrality decision read from it: the walk
-    moments, P+/-, their resultant and, for a strongly cospectral pair, the
-    split of phi(G), as integer polynomials in mu = d*lam.  None of them
-    reads phi(G)."""
+    moments, P+/-, the reduction's numerators N+/-, the resultant of P+ and P-
+    and, for a strongly cospectral pair, the split of phi(G), as integer
+    polynomials in mu = d*lam.  None of them reads phi(G)."""
 
     net: Network
     u: int
@@ -275,6 +274,15 @@ class _PairPolys:
         plus, minus = self.moments
         p_minus = _min_poly(minus)
         return _min_poly(plus[: 2 * (self.net.n + 1 - len(p_minus))]), p_minus
+
+    @cached_property
+    def numerators(self) -> tuple[list[int], list[int]]:
+        """N+ and N- in mu: the polynomial part of P+/-(mu) sum_j s+/-_j mu^(-j-1),
+        from the first deg P+/- moments, monic as s+/-_0 = 1."""
+        return tuple(
+            [sum(map(mul, p[k + 1 :], s)) for k in range(len(p) - 1)]
+            for p, s in zip(self.parity_factors, self.moments)
+        )
 
     @cached_property
     def resultant(self) -> int:
@@ -336,6 +344,8 @@ class ReductionMatrix:
 
     a: ReducedEntry
     b: ReducedEntry
+    # the pair data `isospectral_reduction` read a and b from, for reduction_charpoly
+    _pair: _PairPolys | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def isospectral_reduction(net: Network, u: int, v: int) -> ReductionMatrix:
@@ -353,12 +363,7 @@ def isospectral_reduction(net: Network, u: int, v: int) -> ReductionMatrix:
         raise SpectralError(
             "reduction is not bisymmetric for this pair (the pair is not cospectral)"
         )
-    d, (p_plus, p_minus) = pair.d, pair.parity_factors
-    n_plus, n_minus = (
-        # the polynomial part of P(mu) * sum_j s_j mu^(-j-1), monic as s_0 = 1
-        [sum(map(mul, p[k + 1 :], s)) for k in range(len(p) - 1)]
-        for p, s in zip(pair.parity_factors, pair.moments)
-    )
+    d, (p_plus, p_minus), (n_plus, n_minus) = pair.d, pair.parity_factors, pair.numerators
     plus = _int_mul(_int_add([0, *n_plus], p_plus, -1), n_minus)  # e+ N-
     minus = _int_mul(_int_add([0, *n_minus], p_minus, -1), n_plus)  # e- N+
     den = _int_mul(n_plus, n_minus)
@@ -373,31 +378,23 @@ def isospectral_reduction(net: Network, u: int, v: int) -> ReductionMatrix:
             _lam_poly(q, d),
         )
 
-    return ReductionMatrix(a=reduced(_int_add(plus, minus)), b=reduced(_int_add(plus, minus, -1)))
+    red = ReductionMatrix(a=reduced(_int_add(plus, minus)), b=reduced(_int_add(plus, minus, -1)))
+    object.__setattr__(red, "_pair", pair)
+    return red
 
 
 def reduction_charpoly(red: ReductionMatrix) -> RationalPoly:
     """Numerator of (a(lam) - lam)^2 - b(lam)^2 after full cancellation, monic.
 
-    Its roots are the non-linear eigenvalues of the reduction.  With
-    a = a_n/a_d and b = b_n/b_d in integer polynomials, the difference is
-    ((a_n - lam*a_d)^2 b_d^2 - b_n^2 a_d^2)/(a_d^2 b_d^2), reduced by one gcd.
+    Its roots are the non-linear eigenvalues of the reduction.  In mu = d*lam
+    it is P+ P- over one gcd with N+ N- (module docstring), read from the pair
+    data that only a matrix `isospectral_reduction` returned carries.
     """
-
-    def integer_form(f: ReducedEntry) -> tuple[list[int], list[int]]:
-        (num, s), (den, t) = _integer_coeffs(f.num), _integer_coeffs(f.den)
-        return [t * c for c in num], [s * c for c in den]
-
-    (a_n, a_d), (b_n, b_d) = integer_form(red.a), integer_form(red.b)
-    a_d2, b_d2 = _int_mul(a_d, a_d), _int_mul(b_d, b_d)
-    shifted = _int_add(a_n, [0, *a_d], -1)
-    num = _int_add(
-        _int_mul(_int_mul(shifted, shifted), b_d2), _int_mul(_int_mul(b_n, b_n), a_d2), -1
-    )
-    if not num:
-        raise SpectralError("degenerate reduction: identically zero determinant")
-    q = _int_exact_div(num, _int_gcd(num, _int_mul(a_d2, b_d2)))
-    return RationalPoly([Fraction(c, q[-1]) for c in q])
+    pair = red._pair
+    if pair is None:
+        raise SpectralError("reduction_charpoly: not a ReductionMatrix from isospectral_reduction")
+    num = _int_mul(*pair.parity_factors)
+    return _lam_poly(_int_exact_div(num, _int_gcd(num, _int_mul(*pair.numerators))), pair.d)
 
 
 def is_strongly_cospectral(net: Network, u: int, v: int) -> bool:

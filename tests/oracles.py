@@ -6,8 +6,10 @@ come out as `RationalPoly`.  A rational function is a (num, den) pair in lowest
 terms with den monic, the form `isospectral_reduction` returns its entries in.
 Everything here works coefficient by coefficient in `Fraction` and reduces by
 Euclid's algorithm with long division over Q, so none of it calls the integer
-core that latsym computes on.  `berlekamp_massey` is the textbook algorithm
-over Q, the oracle for the integer one that finds the parity factors.
+core that latsym computes on; `rational_function_charpoly` builds the
+reduction polynomial (a - lam)^2 - b^2 from a reduction's entries with it.
+`berlekamp_massey` is the textbook algorithm over Q, the oracle for the
+integer one that finds the parity factors.
 `adjugate` gives every entry of adj(mu*I - A) by the dense Faddeev-LeVerrier
 recursion, not latsym's walk engine.  `eigenprojector_parity` is a float
 verdict on strong cospectrality from an eigendecomposition, the cross-check
@@ -99,6 +101,14 @@ def rf_mul(f, g) -> tuple[RationalPoly, RationalPoly]:
 
 def rf_evaluate(f, x):
     return evaluate(f[0], x) / evaluate(f[1], x)
+
+
+def rational_function_charpoly(red) -> RationalPoly:
+    """The monic numerator of (a - lam)^2 - b^2 for a reduction with entries a
+    and b, by rational-function arithmetic: the oracle for `reduction_charpoly`."""
+    shifted = rf_sub(red.a, reduced(LAM))
+    det = rf_sub(rf_mul(shifted, shifted), rf_mul(red.b, red.b))
+    return det[0].monic()
 
 
 def berlekamp_massey(seq) -> RationalPoly:

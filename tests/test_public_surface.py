@@ -92,7 +92,7 @@ FIELDS = {
         "notes",
     ),
     "CorrelationMatrix": ("values", "statistics", "comparison_mode", "tau"),
-    "ReductionMatrix": ("a", "b"),
+    "ReductionMatrix": ("a", "b", "_pair"),
     "EigenSystem": ("eigenvalues", "eigenvectors", "n"),
     "PeakReport": ("samples", "step", "peaks", "envelope", "best"),
 }
@@ -149,6 +149,11 @@ def test_result_type_fields_are_pinned():
         if dataclasses.is_dataclass(t)
     }
     assert got == FIELDS
+
+
+def test_reduction_matrix_is_built_from_its_entries_alone():
+    # the pair data behind reduction_charpoly is set by isospectral_reduction only
+    assert list(inspect.signature(latsym.ReductionMatrix).parameters) == ["a", "b"]
 
 
 def test_function_signatures_are_pinned():

@@ -101,4 +101,4 @@ def test_readme_library_block(capsys):
         else:
             assert value == ast.literal_eval(want)
         checked.append(want)
-    assert checked == ["True", "{4, 8, 9}", "LITERAL_CONDITION_FAILED"]
+    assert checked == ["True", "{4, 8, 9}", "LITERAL_CONDITION_FAILED", "True", "8"]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -11,9 +12,8 @@ from latsym import spectral
 from latsym.network import Network
 from latsym.ninesite import build_ninesite
 from latsym.pgst import pgst_certificate
-from latsym.polynomial import RationalPoly, _lam_poly, det_fraction
+from latsym.polynomial import RationalPoly, _int_gcd, _int_mul, _lam_poly, det_fraction
 from latsym.spectral import (
-    ReducedEntry,
     ReductionMatrix,
     SpectralError,
     _adjugate,
@@ -359,39 +359,31 @@ def test_reduction_charpoly_three_site():
     assert reduction_charpoly(red) == RationalPoly([-2, 0, 1])
 
 
-def rational_function_charpoly(red):
-    """reduction_charpoly by the oracle's rational-function arithmetic."""
-    shifted = oracles.rf_sub(red.a, oracles.reduced(oracles.LAM))
-    det = oracles.rf_sub(oracles.rf_mul(shifted, shifted), oracles.rf_mul(red.b, red.b))
-    return det[0].monic()
-
-
 def test_reduction_charpoly_matches_rational_function_arithmetic(oracle_networks):
     nets = [*oracle_networks, build_ninesite(), build_ninesite(Fraction(10**7), Fraction(1, 3)),
-            path_network(2), path_network(5)]
-    reds = [
-        isospectral_reduction(net, u, v)
+            *map(path_network, (2, 3, 5, 7))]
+    pairs = [
+        (net, u, v)
         for net in nets
         for u, v in itertools.combinations(range(1, net.n + 1), 2)
         if is_cospectral(net, u, v)
     ]
-    # unequal denominators and a zero off-diagonal, beyond what isospectral_reduction gives
-    reds += [
-        ReductionMatrix(
-            ReducedEntry(RationalPoly([1, Fraction(2, 3)]), RationalPoly([3, 0, 2])),
-            ReducedEntry(RationalPoly([Fraction(-1, 2)]), RationalPoly([-1, 5])),
-        ),
-        ReductionMatrix(
-            ReducedEntry(RationalPoly([Fraction(7, 4), 0, 1]), RationalPoly([0, 1])),
-            ReducedEntry(RationalPoly(), RationalPoly([1])),
-        ),
-    ]
-    assert len(reds) >= 12
-    for red in reds:
-        assert reduction_charpoly(red).coeffs == rational_function_charpoly(red).coeffs
-    lam = ReducedEntry(oracles.LAM, RationalPoly([1]))
-    with pytest.raises(SpectralError, match="identically zero"):
-        reduction_charpoly(ReductionMatrix(lam, ReducedEntry(RationalPoly(), RationalPoly([1]))))
+    assert len(pairs) >= 12
+    shared = 0
+    for net, u, v in pairs:
+        red = isospectral_reduction(net, u, v)
+        assert reduction_charpoly(red).coeffs == oracles.rational_function_charpoly(red).coeffs
+        num = _int_mul(*red._pair.parity_factors)
+        shared += len(_int_gcd(num, _int_mul(*red._pair.numerators))) > 1
+    # P+ P- and N+ N- share a factor on the ends of P_3, P_5 and P_7, P_7's
+    # (2, 6) and (3, 5), and the n = 4 mirrored net's (1, 2): these pairs are
+    # the ones that fail if the gcd is not divided out
+    assert shared >= 3
+    # only a matrix isospectral_reduction returned carries the pair data
+    red = isospectral_reduction(build_ninesite(), 2, 6)
+    for bare in (ReductionMatrix(red.a, red.b), dataclasses.replace(red, a=red.b)):
+        with pytest.raises(SpectralError, match="isospectral_reduction"):
+            reduction_charpoly(bare)
 
 
 def test_strong_cospectrality():
@@ -696,10 +688,21 @@ def test_reduction_of_a_long_path_reads_no_characteristic_polynomial(monkeypatch
     # phi(P_k) = lam phi(P_(k-1)) - phi(P_(k-2)), so a = phi(P_(n-3))/phi(P_(n-2))
     # and b = 1/phi(P_(n-2)); consecutive phi(P_k) are coprime
     phis = [oracles.ONE, oracles.LAM]
-    while len(phis) < 149:
+    while len(phis) < 151:
         phis.append(oracles.sub(oracles.mul(oracles.LAM, phis[-1]), phis[-2]))
     assert red.a == (phis[147], phis[148])
     assert red.b == (oracles.ONE, phis[148])
+    # (lam - a)^2 - b^2 = phi(P_150)/phi(P_148) in lowest terms (Cassini's
+    # identity), from one gcd of P+ P- and N+ N-, each of at most n + 1 terms
+    calls, int_gcd = [], spectral._int_gcd
+
+    def recording_gcd(a, b):
+        calls.append((len(a), len(b)))
+        return int_gcd(a, b)
+
+    monkeypatch.setattr(spectral, "_int_gcd", recording_gcd)
+    assert reduction_charpoly(red) == phis[150]
+    assert len(calls) == 1 and max(calls[0]) <= net.n + 1
     with pytest.raises(
         SpectralError,
         match=r"^reduction is not bisymmetric for this pair \(the pair is not cospectral\)$",
