@@ -2,7 +2,7 @@
 
 Double-precision throughout; the spectrum comes from LAPACK through
 numpy.linalg.eigh.  Site arguments are 1-based to match the network layer and
-must lie in 1..n; raw state vectors are plain 0-based numpy arrays.
+must be integers in 1..n; raw state vectors are plain 0-based numpy arrays.
 
 envelope_scan evaluates its coarse grid from a phase table: one block of
 exp(-i lam_k r dt) per call, built from two short factors and rotated per
@@ -13,9 +13,14 @@ scan already holds; Newton's method on the analytic F' and F'' then refines
 that peak.  The running maximum at the kept samples comes from the maxima of
 the segments that end there, raised by the refined peaks in one pass after
 the scan.
+
+antisymmetric_confinement reads the same phase table, built by
+_phase_table, so its tau grid must be evenly spaced; both differ from a
+direct exp(-i lam tau) by phase rounding of order eps*max|lam|*tau.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from sys import float_info
@@ -81,8 +86,11 @@ def eigh(net: Network) -> EigenSystem:
 
 
 def _check_sites(sys: EigenSystem, *sites: int) -> None:
-    # numpy would read site 0 as the last row; refuse it rather than wrap
+    # numpy would read site 0 as the last row, and int() site 1.9 as site 1;
+    # refuse both rather than wrap or truncate
     for site in sites:
+        if not isinstance(site, numbers.Integral):
+            raise ValueError(f"site {site!r} is not an integer")
         if not 1 <= site <= sys.n:
             raise ValueError(f"site {site} out of range 1..{sys.n}")
 
@@ -151,6 +159,15 @@ _BATCH_BLOCKS = 64
 _ENVELOPE_POINTS = 2000
 # Coarse samples envelope_scan holds at a time; the report does not depend on it.
 _CHUNK_SIZE = 500_000
+
+
+def _phase_table(neg_i_lam: np.ndarray, step: float) -> np.ndarray:
+    # table[k, r] = exp(-i lam_k r step) for r < B, as big[k, r // b] small[k, r % b]
+    # (b = _PHASE_STRIDE): B/b + b columns of exponentials instead of B
+    b = _PHASE_STRIDE
+    big = np.exp(np.outer(neg_i_lam, np.arange(0, _PHASE_BLOCK, b) * step))
+    small = np.exp(np.outer(neg_i_lam, np.arange(b) * step))
+    return (big[:, :, None] * small[:, None, :]).reshape(len(neg_i_lam), _PHASE_BLOCK)
 
 
 @dataclass
@@ -253,11 +270,7 @@ def envelope_scan(
     lam = sys.eigenvalues.tolist()
     if not math.isfinite(4 * sum(x * x * abs(y) for x, y in zip(lam, c.tolist()))):
         raise ValueError("lam^2 * c must be finite")
-    # table[k, r] = exp(-i lam_k r dt) = big[k, r // b] small[k, r % b]: B/b + b columns of exps
-    b = _PHASE_STRIDE
-    big = np.exp(np.outer(neg_i_lam, np.arange(0, _PHASE_BLOCK, b) * coarse_step))
-    small = np.exp(np.outer(neg_i_lam, np.arange(b) * coarse_step))
-    table = (big[:, :, None] * small[:, None, :]).reshape(sys.n, _PHASE_BLOCK)
+    table = _phase_table(neg_i_lam, coarse_step)
     fid = lambda t: float(abs(c @ np.exp(neg_i_lam * t)) ** 2)
     # rows of a, a' and a'' at t: F' = 2 Re(conj(a) a'), F'' = 2 (|a'|^2 + Re(conj(a) a''))
     rows = np.array([c, neg_i_lam * c, neg_i_lam**2 * c])
@@ -370,9 +383,21 @@ def antisymmetric_confinement(
     """Max |psi_w(tau)| over singlet sites w for the input (e_u - e_v)/sqrt(2).
 
     u and v must differ, the singlets must not include them (the input sets their
-    amplitudes), and the grid must be non-empty and finite, else ValueError.
+    amplitudes), and the grid must be non-empty, finite and evenly spaced, else
+    ValueError.  Evenly spaced means tau_j = tau_0 + j*step to 4 ulps of
+    max|tau|, with step taken from the grid's two ends, as np.linspace and
+    np.arange grids are.
+
+    The amplitudes come from envelope_scan's phase table: sample j = q*B + r
+    (B = _PHASE_BLOCK) is sum_k T[k, r] R[q, k] W[k, w] with T[k, r] =
+    exp(-i lam_k r step), R[q, k] = exp(-i lam_k (tau_0 + q B step)) and
+    W[k, w] = coef_k Q[w, k], one (|S| x n)(n x B) product per block.  N
+    samples thus cost (B/b + b + N/B) n complex exponentials instead of N n,
+    and no array grows with N beyond one float per sample for the spacing
+    check.  Against the direct exp(-i lam_k tau_j) the result differs by
+    phase rounding of order eps*max|lam|*max|tau|.
     """
-    sites = sorted(int(s) for s in singlets)
+    sites = list(singlets)
     if not sites:
         raise ValueError("no singlet sites supplied")
     _check_sites(sys, u, v, *sites)
@@ -380,12 +405,27 @@ def antisymmetric_confinement(
         raise ValueError("pair must consist of two distinct sites")  # e_u - e_u is 0
     if u in sites or v in sites:
         raise ValueError(f"singlet sites must not include the pair ({u}, {v})")
-    taus = np.asarray(tau_grid, dtype=float)
+    taus = np.asarray(tau_grid, dtype=float).ravel()
     if not taus.size:
         raise ValueError("tau grid is empty")
     _check_taus(sys, taus)
+    tau0, last = float(taus[0]), float(taus[-1])
+    step = (last - tau0) / (taus.size - 1) if taus.size > 1 else 0.0
+    _check_taus(sys, _PHASE_BLOCK * step)  # the table's phases reach B*step
+    # the grid as np.linspace builds it, j*step + tau_0, less the grid
+    off = np.arange(taus.size, dtype=float)
+    off *= step
+    off += tau0
+    off -= taus
+    if np.abs(off, out=off).max() > 4 * np.finfo(float).eps * max(abs(tau0), abs(last)):
+        raise ValueError("tau grid must be evenly spaced: tau_j = tau_0 + j * step")
+    neg_i_lam = -1j * sys.eigenvalues
     coef = (sys.eigenvectors[u - 1] - sys.eigenvectors[v - 1]) / np.sqrt(2.0)
-    phases = np.exp(-1j * np.outer(taus, sys.eigenvalues))
-    amps = phases @ (coef[:, None] * sys.eigenvectors[[s - 1 for s in sites]].T)
-    return float(np.abs(amps).max())
-
+    weights = sys.eigenvectors[[s - 1 for s in sites]] * coef  # W^T, |S| x n
+    table = _phase_table(neg_i_lam, step)
+    leak = 0.0
+    for first in range(0, taus.size, _PHASE_BLOCK):
+        rot = np.exp(neg_i_lam * (tau0 + first * step))
+        amps = (weights * rot) @ table[:, : taus.size - first]
+        leak = max(leak, float(np.abs(amps).max()))
+    return leak

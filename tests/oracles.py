@@ -19,6 +19,9 @@ companion eigenvalues of `boundary_scan`.  `distinct_degree` is the
 distinct-degree factorisation mod p that powers h <- h^p mod f afresh for
 every degree d, on latsym's mod-p helpers: the oracle for the Frobenius
 matrix of `polynomial._distinct_degree`.
+`direct_confinement` is the largest amplitude that the antisymmetric input
+sends to a site set, from one exp(-i lam tau) per sample and eigenvalue: the
+oracle for the phase table of `walk.antisymmetric_confinement`.
 """
 
 from fractions import Fraction
@@ -191,6 +194,16 @@ def eigenprojector_parity(sys, u: int, v: int) -> bool:
                 return False
             start = i
     return True
+
+
+def direct_confinement(sys, u: int, v: int, sites, taus) -> float:
+    """Max |psi_w(tau)| over w in sites and tau in taus for the input
+    (e_u - e_v)/sqrt(2), with psi(tau) = Q exp(-i Lambda tau) Q^T psi(0) from
+    one full (len(taus) x n) table of exponentials."""
+    coef = (sys.eigenvectors[u - 1] - sys.eigenvectors[v - 1]) / np.sqrt(2.0)
+    phases = np.exp(-1j * np.outer(taus, sys.eigenvalues))
+    amps = phases @ (coef[:, None] * sys.eigenvectors[[s - 1 for s in sites]].T)
+    return float(np.abs(amps).max())
 
 
 def np_roots_distance(p_plus: list[int], p_minus: list[int], d: int) -> float:

@@ -9,10 +9,11 @@ import pytest
 import sympy
 
 import oracles
+from conftest import grow
 from latsym import walk
 from latsym.network import Network
 from latsym.ninesite import SINGLET_SITES, build_ninesite
-from latsym.spectral import char_poly, is_strongly_cospectral
+from latsym.spectral import char_poly, is_strongly_cospectral, singlet_sites
 from latsym.walk import (
     _BATCH_BLOCKS,
     _PHASE_BLOCK,
@@ -613,6 +614,67 @@ def test_antisymmetric_input_never_reaches_singlet_sites():
     assert leak < 1e-10
 
 
+def moved_point_grid():
+    taus = np.linspace(0, 100, 2000)
+    taus[777] += 1e-9
+    return taus
+
+
+@pytest.mark.parametrize(
+    "taus",
+    [
+        np.linspace(0, 100, 2000),
+        np.linspace(0, 100, 2001),
+        np.linspace(0, 2e5, 4001),
+        np.arange(0, 50, 0.05),
+        np.linspace(-10, 10, 401),
+        np.array([7.3]),
+        np.linspace(0, 70, 700),  # above one block, not a multiple of it
+        np.linspace(0, 1, 11),  # site 1's amplitude rises: the max is the last sample's
+        np.linspace(1, 0, 11),  # a negative step: the max is the first sample's
+    ],
+    ids=["2000", "2001", "2e5", "arange", "negative", "one-point", "700", "rising", "falling"],
+)
+def test_confinement_matches_the_direct_formula(taus):
+    # against one exp per sample: the phase table's rotations round the phases
+    # lam*tau to order eps*max|lam|*max|tau|, and sum |coef_k Q_wk| <= 1
+    net = grow(20, 1)  # the perfbench dynamics network: pair (2, 6), 14 singlet sites
+    singlets = sorted(singlet_sites(net, 2, 6))
+    others = [w for w in range(1, net.n + 1) if w not in (2, 6, *singlets)]
+    cases = [
+        (eigh(build_ninesite()), [1], 0.01),  # site 1 carries the input (max about 0.5)
+        (eigh(build_ninesite()), SINGLET_SITES, None),
+        (eigh(net), others, 0.01),
+        (eigh(net), singlets, None),
+    ]
+    for sys, sites, floor in cases:
+        lam, tau = float(np.abs(sys.eigenvalues).max()), float(np.abs(taus).max())
+        want = oracles.direct_confinement(sys, 2, 6, sites, taus)
+        got = antisymmetric_confinement(sys, 2, 6, sites, taus)
+        assert abs(got - want) <= 16 * np.finfo(float).eps * (1 + lam * tau)
+        if floor is not None:
+            assert want > floor  # a site set that carries amplitude, so the check is not vacuous
+        else:
+            assert got < 1e-10
+
+
+def test_confinement_memory_does_not_grow_with_samples_times_sites():
+    # one 10^6 x 9 complex table of exponentials alone would be 144 MB; the
+    # spacing check holds one float per sample, the blocks a fixed few
+    import tracemalloc
+
+    sys = eigh(build_ninesite())
+    taus = np.linspace(0, 1e4, 10**6)
+    tracemalloc.start()
+    try:
+        leak = antisymmetric_confinement(sys, 2, 6, SINGLET_SITES, taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert leak < 1e-10
+    assert peak < 2 * taus.nbytes + 2**20
+
+
 def test_symmetric_input_does_reach_singlet_sites():
     sys = eigh(build_ninesite())
     psi0 = np.zeros(9, dtype=complex)
@@ -645,6 +707,14 @@ def test_antisymmetric_confinement_needs_sites():
         (lambda sys: antisymmetric_confinement(sys, 2, 6, [2], [1.0]), "must not include"),
         (lambda sys: antisymmetric_confinement(sys, 2, 6, [4, 6], [1.0]), "must not include"),
         (lambda sys: antisymmetric_confinement(sys, 2, 2, [4], [1.0]), "distinct sites"),
+        (
+            lambda sys: antisymmetric_confinement(sys, 2, 6, SINGLET_SITES, np.geomspace(1, 100, 50)),
+            "evenly spaced",
+        ),
+        (
+            lambda sys: antisymmetric_confinement(sys, 2, 6, SINGLET_SITES, moved_point_grid()),
+            "evenly spaced",
+        ),
         (lambda sys: evolution_operator(sys, 1.7e308), r"max\|lam\| \* \|tau\|"),
         (lambda sys: fidelity_curve(sys, 2, 6, [0.0, -1.7e308]), r"max\|lam\| \* \|tau\|"),
         (lambda sys: envelope_scan(sys, 2, 6, 1.7e308, 1e307), r"max\|lam\| \* \|tau\|"),
@@ -652,14 +722,16 @@ def test_antisymmetric_confinement_needs_sites():
     ids=[
         "fidelity", "fidelity_curve", "evolve", "evolution_operator", "confinement-tau",
         "confinement-empty-grid", "confinement-singlet-u", "confinement-singlet-v",
-        "confinement-u-equals-v", "evolution_operator-phase-overflow",
+        "confinement-u-equals-v", "confinement-geomspace", "confinement-moved-point",
+        "evolution_operator-phase-overflow",
         "fidelity_curve-phase-overflow", "envelope_scan-phase-overflow",
     ],
 )
 def test_walk_functions_refuse_non_finite_tau_and_bad_confinement_input(call, match):
     # each would otherwise return NaN, a leak through u or v (0.51 for
-    # singlets [2] on (2, 6)), numpy's zero-size reduction error, or 0.0 for
-    # the zero input (e_2 - e_2)/sqrt(2)
+    # singlets [2] on (2, 6)), numpy's zero-size reduction error, 0.0 for
+    # the zero input (e_2 - e_2)/sqrt(2), or a leak at the wrong times for a
+    # grid that one phase table cannot rotate onto
     with pytest.raises(ValueError, match=match):
         call(eigh(build_ninesite()))
 
@@ -700,9 +772,10 @@ def test_eigenprojector_parity_agrees_with_exact_verdict_at_any_scale(scale):
         assert oracles.eigenprojector_parity(eigh(scaled), u, v) == strong
 
 
-@pytest.mark.parametrize("bad", [0, 10])
+@pytest.mark.parametrize("bad", [0, 10, 1.9, 2.5])
 def test_walk_functions_refuse_out_of_range_sites(bad):
-    # site 0 would otherwise read row -1, i.e. site 9
+    # site 0 would otherwise read row -1, i.e. site 9; singlet 1.9 was read as
+    # site 1, and fidelity at u = 2.5 raised numpy's IndexError
     sys = eigh(build_ninesite())
     taus = np.array([0.0, 1.0])
     calls = [
@@ -716,6 +789,7 @@ def test_walk_functions_refuse_out_of_range_sites(bad):
         lambda: antisymmetric_confinement(sys, 2, bad, SINGLET_SITES, taus),
         lambda: antisymmetric_confinement(sys, 2, 6, [4, bad], taus),
     ]
+    match = f"site {bad} out of range 1..9" if isinstance(bad, int) else f"site {bad} is not an integer"
     for call in calls:
-        with pytest.raises(ValueError, match=f"site {bad} out of range 1..9"):
+        with pytest.raises(ValueError, match=match):
             call()
