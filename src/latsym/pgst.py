@@ -5,13 +5,13 @@ splits as P = P_plus * P_minus * P_zero, grouping eigenvalues by eigenvector
 parity on the pair (+, -) and by vanishing support.  P_plus (P_minus) is the
 product of (lam - theta) over the eigenvalues whose eigenvectors reach
 e_u + e_v (e_u - e_v), so strong cospectrality is resultant(P_plus, P_minus)
-!= 0 (the `spectral` module docstring has the proof).  A transfer certificate
-checks, in order: cospectrality, strong cospectrality, irreducibility of both
-parity factors over Q, and the trace-ratio inequality
-Tr(P_plus)/deg(P_plus) != Tr(P_minus)/deg(P_minus).  Irreducibility is exact
-(`is_irreducible`): a quadratic by its discriminant, any other degree from
-factor degrees mod small primes, one Frobenius matrix per prime, and a
-Zassenhaus fallback.
+!= 0 (the `spectral` module docstring has the proof).  A certificate runs
+`_gates`, the one place that holds the order of its checks: cospectrality,
+strong cospectrality, irreducibility of both parity factors over Q, and the
+trace-ratio inequality Tr(P_plus)/deg(P_plus) != Tr(P_minus)/deg(P_minus).
+Irreducibility is exact (`is_irreducible`): a quadratic by its discriminant,
+any other degree from factor degrees mod small primes, one Frobenius matrix
+per prime, and a Zassenhaus fallback.
 
 `boundary_scan` follows the resultant's sign along a grid of on-site
 potentials in two passes: an exact one that keeps P+/- and the resultant of
@@ -24,7 +24,7 @@ real.
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .network import Network, has_swap_automorphism
 from .polynomial import RationalPoly, is_irreducible
@@ -125,59 +125,57 @@ class PGSTCertificate:
         return {"pair": [self.u, self.v], **{name: plain(x) for name, x in self._values()}}
 
 
-def pgst_certificate(net: Network, u: int, v: int) -> PGSTCertificate:
-    """Run the full gate sequence and report how far the pair gets."""
+class _Gate(NamedTuple):
+    values: dict  # the certificate fields this check fills
+    passed: bool
+    held: str = ""  # its phrase in the note when it held
+    failed: str = ""  # ... and when it failed
+    verdict: str = ""  # the verdict its failure ends the certificate with; "" if none
+
+
+def _gates(net: Network, u: int, v: int) -> Iterator[_Gate]:
+    """The certificate's checks, in order; each runs only when pulled."""
     pair = _pair_polys(net, u, v)
     cos = pair is not None
     # a swap automorphism implies cospectrality, so only a cospectral pair can have one
     swap = cos and has_swap_automorphism(net, u, v)
-    cert = PGSTCertificate(u=u, v=v, cospectral=cos, swap_automorphism=swap)
-    if not cos:
-        cert.verdict = NOT_COSPECTRAL
-        cert.notes = "the deleted-vertex characteristic polynomials differ"
-        return cert
-
+    yield _Gate(dict(cospectral=cos, swap_automorphism=swap), cos, "",
+                "the deleted-vertex characteristic polynomials differ", NOT_COSPECTRAL)
     dec = pair.decomposition
-    cert.strongly_cospectral = dec is not None
-    if dec is None:
-        cert.verdict = NOT_STRONGLY_COSPECTRAL
-        cert.notes = "the reduction has a repeated non-linear eigenvalue"
-        return cert
-
-    cert.p_plus, cert.p_minus, cert.p_zero = dec.p_plus, dec.p_minus, dec.p_zero
-    cert.plus_irreducible = is_irreducible(dec.p_plus)
-    cert.minus_irreducible = is_irreducible(dec.p_minus)
+    yield _Gate(dict(strongly_cospectral=dec is not None), dec is not None,
+                "strongly cospectral pair", "the reduction has a repeated non-linear eigenvalue",
+                NOT_STRONGLY_COSPECTRAL)
+    irreducible = {"p_plus": is_irreducible(dec.p_plus), "p_minus": is_irreducible(dec.p_minus)}
+    yield _Gate(
+        dict(p_plus=dec.p_plus, p_minus=dec.p_minus, p_zero=dec.p_zero,
+             plus_irreducible=irreducible["p_plus"], minus_irreducible=irreducible["p_minus"]),
+        all(irreducible.values()), "both parity factors irreducible over Q",
+        "; ".join(f"{p} is reducible over Q" for p, ok in irreducible.items() if not ok))
     r_plus, r_minus, distinct = trace_ratios(dec.p_plus, dec.p_minus)
-    cert.trace_ratio_plus = r_plus
-    cert.trace_ratio_minus = r_minus
-    cert.trace_ratios_distinct = distinct
+    yield _Gate(
+        dict(trace_ratio_plus=r_plus, trace_ratio_minus=r_minus, trace_ratios_distinct=distinct),
+        distinct, "", f"the trace-ratio inequality fails: both ratios equal {r_plus} = {r_minus}")
 
-    if cert.plus_irreducible and cert.minus_irreducible and distinct:
-        cert.verdict = CERTIFIED
-        cert.notes = "all algebraic transfer conditions are satisfied"
-    else:
-        cert.verdict = LITERAL_CONDITION_FAILED
-        failed = []
-        if not cert.plus_irreducible:
-            failed.append("p_plus is reducible over Q")
-        if not cert.minus_irreducible:
-            failed.append("p_minus is reducible over Q")
-        if not distinct:
-            failed.append(
-                f"the trace-ratio inequality fails: both ratios equal "
-                f"{r_plus} = {r_minus}"
-            )
-        cert.notes = (
-            "all prerequisite conditions hold (strongly cospectral pair"
-            + (", both parity factors irreducible over Q"
-               if cert.plus_irreducible and cert.minus_irreducible else "")
-            + ") yet " + "; ".join(failed)
-            + ". The algebraic test alone is therefore inconclusive for this "
-              "network even though long-horizon envelope scans show the "
-              "transfer fidelity approaching 1; judge transfer quality from "
-              "that numerical evidence."
-        )
-    return cert
+
+def pgst_certificate(net: Network, u: int, v: int) -> PGSTCertificate:
+    """Run `_gates` in order; the first failed gate with a verdict ends the certificate."""
+    values, gates = {}, []
+    for gate in _gates(net, u, v):
+        values.update(gate.values)
+        if not gate.passed and gate.verdict:
+            return PGSTCertificate(u, v, **values, verdict=gate.verdict, notes=gate.failed)
+        gates.append(gate)
+    held = ", ".join(g.held for g in gates if g.passed and g.held)
+    failed = "; ".join(g.failed for g in gates if not g.passed)
+    if not failed:
+        return PGSTCertificate(u, v, **values, verdict=CERTIFIED,
+                               notes="all algebraic transfer conditions are satisfied")
+    return PGSTCertificate(u, v, **values, verdict=LITERAL_CONDITION_FAILED, notes=(
+        f"all prerequisite conditions hold ({held}) yet {failed}. The algebraic test alone is"
+        " therefore inconclusive for this network even though long-horizon envelope scans"
+        " show the transfer fidelity approaching 1; judge transfer quality from that"
+        " numerical evidence."
+    ))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ and s_(2i+1) = y_i.y_(i+1), at most ceil(n/2) products per site.
 Integer polynomials.  With mu = d*lam, det(mu*I - A) = d^n phi(G) =
 sum c_k mu^(n-k) is monic: c_0 = 1 and, by Newton's identities,
 c_k = -(sum_(i<=k) c_(k-i) p_i)/k, an exact division, with the power sums
-p_i = tr A^i = sum_w s_i(w); `_adjugate` computes it.  adj(mu*I - A) =
+p_i = tr A^i = sum_w s_i(w); `char_poly` computes it.  adj(mu*I - A) =
 d^(n-1) adj(lam*I - H) = sum B_k mu^(n-1-k) with B_k = sum_(j<=k) c_(k-j) A^j
 (Godsil, Algebraic Combinatorics, 1993).  A polynomial scaled by d^m (m its
 degree unless stated) becomes one in lam by dividing its coefficient of mu^i
@@ -170,17 +170,11 @@ def _power_sums(f: list[int], m: int) -> list[int]:
     return p
 
 
-def _adjugate(net: Network) -> tuple[int, list[int]]:
-    """d and d^n phi(G) = det(mu*I - A), mu = d*lam, as an ascending integer
-    list: its coefficients from the power sums tr A^i, i <= n, by Newton's
-    identities (module docstring)."""
-    return net._integer_form.d, _from_power_sums(_traces(net, net.n))
-
-
 def char_poly(net: Network) -> RationalPoly:
-    """det(lam*I - H) as an exact monic polynomial."""
-    d, phi = _adjugate(net)
-    return _lam_poly(phi, d)
+    """det(lam*I - H) as an exact monic polynomial: d^n phi(G) = det(mu*I - A),
+    mu = d*lam, from the power sums tr A^i, i <= n, by Newton's identities
+    (module docstring)."""
+    return _lam_poly(_from_power_sums(_traces(net, net.n)), net._integer_form.d)
 
 
 def is_cospectral(net: Network, u: int, v: int) -> bool:

@@ -15,8 +15,9 @@ the segments that end there, raised by the refined peaks in one pass after
 the scan.
 
 antisymmetric_confinement reads the same phase table, built by
-_phase_table, so its tau grid must be evenly spaced; both differ from a
-direct exp(-i lam tau) by phase rounding of order eps*max|lam|*tau.
+_phase_table, so its N-sample tau grid must be evenly spaced to N ulps; both
+differ from a direct exp(-i lam tau) by phase rounding of order
+eps*max|lam|*tau, confinement by up to N times that on a drifting grid.
 """
 
 import math
@@ -384,9 +385,10 @@ def antisymmetric_confinement(
 
     u and v must differ, the singlets must not include them (the input sets their
     amplitudes), and the grid must be non-empty, finite and evenly spaced, else
-    ValueError.  Evenly spaced means tau_j = tau_0 + j*step to 4 ulps of
-    max|tau|, with step taken from the grid's two ends, as np.linspace and
-    np.arange grids are.
+    ValueError.  Evenly spaced means |tau_j - (tau_0 + j*step)| <= N*eps*max|tau|
+    for the N samples, with step taken from the grid's two ends: np.linspace
+    and np.arange grids pass within about an ulp, and a grid summed step by
+    step (np.cumsum, itertools.accumulate) drifts by fewer than N ulps.
 
     The amplitudes come from envelope_scan's phase table: sample j = q*B + r
     (B = _PHASE_BLOCK) is sum_k T[k, r] R[q, k] W[k, w] with T[k, r] =
@@ -394,8 +396,10 @@ def antisymmetric_confinement(
     W[k, w] = coef_k Q[w, k], one (|S| x n)(n x B) product per block.  N
     samples thus cost (B/b + b + N/B) n complex exponentials instead of N n,
     and no array grows with N beyond one float per sample for the spacing
-    check.  Against the direct exp(-i lam_k tau_j) the result differs by
-    phase rounding of order eps*max|lam|*max|tau|.
+    check.  The amplitudes are read at tau_0 + j*step, so against the direct
+    exp(-i lam_k tau_j) the phases differ by up to N*eps*max|lam|*max|tau|
+    on a drifting grid, plus rounding of order eps*max|lam|*max|tau|, and
+    the result by no more than that, as sum_k |coef_k Q[w, k]| <= 1.
     """
     sites = list(singlets)
     if not sites:
@@ -417,7 +421,7 @@ def antisymmetric_confinement(
     off *= step
     off += tau0
     off -= taus
-    if np.abs(off, out=off).max() > 4 * np.finfo(float).eps * max(abs(tau0), abs(last)):
+    if np.abs(off, out=off).max() > taus.size * np.finfo(float).eps * max(abs(tau0), abs(last)):
         raise ValueError("tau grid must be evenly spaced: tau_j = tau_0 + j * step")
     neg_i_lam = -1j * sys.eigenvalues
     coef = (sys.eigenvectors[u - 1] - sys.eigenvectors[v - 1]) / np.sqrt(2.0)

@@ -199,13 +199,38 @@ def test_certificate_gates():
     assert cert.strongly_cospectral is False
 
 
-# The complete text and dict of one certificate per verdict, frozen.
-NINESITE_NOTES = (
-    "all prerequisite conditions hold (strongly cospectral pair, both parity factors "
-    "irreducible over Q) yet the trace-ratio inequality fails: both ratios equal 0 = 0. "
-    "The algebraic test alone is therefore inconclusive for this network even though "
+def cycle_network(n, k=Fraction(1)):
+    return Network(n, [Fraction(0)] * n, [(i, i % n + 1, k) for i in range(1, n + 1)])
+
+
+# The complete text and dict of one certificate per verdict, and of every
+# variant of the LITERAL_CONDITION_FAILED note, frozen.
+INCONCLUSIVE = (
+    " The algebraic test alone is therefore inconclusive for this network even though "
     "long-horizon envelope scans show the transfer fidelity approaching 1; judge "
     "transfer quality from that numerical evidence."
+)
+NINESITE_NOTES = (
+    "all prerequisite conditions hold (strongly cospectral pair, both parity factors "
+    "irreducible over Q) yet the trace-ratio inequality fails: both ratios equal 0 = 0."
+    + INCONCLUSIVE
+)
+P5_NOTES = (
+    "all prerequisite conditions hold (strongly cospectral pair) yet p_plus is reducible "
+    "over Q; p_minus is reducible over Q; the trace-ratio inequality fails: both ratios "
+    "equal 0 = 0." + INCONCLUSIVE
+)
+P7_NOTES = (
+    "all prerequisite conditions hold (strongly cospectral pair) yet p_minus is reducible "
+    "over Q; the trace-ratio inequality fails: both ratios equal 0 = 0." + INCONCLUSIVE
+)
+P8_NOTES = (
+    "all prerequisite conditions hold (strongly cospectral pair) yet p_plus is reducible "
+    "over Q; p_minus is reducible over Q." + INCONCLUSIVE
+)
+C4_NOTES = (
+    "all prerequisite conditions hold (strongly cospectral pair) yet p_plus is reducible "
+    "over Q; the trace-ratio inequality fails: both ratios equal 0 = 0." + INCONCLUSIVE
 )
 UNREACHED_TEXT = [
     "p_plus: n/a",
@@ -349,13 +374,170 @@ FROZEN_CERTIFICATES = [
             ("notes", "the deleted-vertex characteristic polynomials differ"),
         ],
     ),
+    (
+        lambda: path_network(5),
+        (1, 5),
+        [
+            "pair: (1, 5)",
+            "cospectral: yes",
+            "swap_automorphism: yes",
+            "latent_symmetric: no",
+            "strongly_cospectral: yes",
+            "p_plus: lam^3 - 3*lam",
+            "p_minus: lam^2 - 1",
+            "p_zero: 1",
+            "plus_irreducible: no",
+            "minus_irreducible: no",
+            "trace_ratio_plus: 0",
+            "trace_ratio_minus: 0",
+            "trace_ratios_distinct: no",
+            "verdict: LITERAL_CONDITION_FAILED",
+            "notes: " + P5_NOTES,
+        ],
+        [
+            ("pair", [1, 5]),
+            ("cospectral", True),
+            ("swap_automorphism", True),
+            ("strongly_cospectral", True),
+            ("p_plus", ["0", "-3", "0", "1"]),
+            ("p_minus", ["-1", "0", "1"]),
+            ("p_zero", ["1"]),
+            ("plus_irreducible", False),
+            ("minus_irreducible", False),
+            ("trace_ratio_plus", "0"),
+            ("trace_ratio_minus", "0"),
+            ("trace_ratios_distinct", False),
+            ("verdict", "LITERAL_CONDITION_FAILED"),
+            ("notes", P5_NOTES),
+        ],
+    ),
+    (
+        lambda: path_network(7),
+        (1, 7),
+        [
+            "pair: (1, 7)",
+            "cospectral: yes",
+            "swap_automorphism: yes",
+            "latent_symmetric: no",
+            "strongly_cospectral: yes",
+            "p_plus: lam^4 - 4*lam^2 + 2",
+            "p_minus: lam^3 - 2*lam",
+            "p_zero: 1",
+            "plus_irreducible: yes",
+            "minus_irreducible: no",
+            "trace_ratio_plus: 0",
+            "trace_ratio_minus: 0",
+            "trace_ratios_distinct: no",
+            "verdict: LITERAL_CONDITION_FAILED",
+            "notes: " + P7_NOTES,
+        ],
+        [
+            ("pair", [1, 7]),
+            ("cospectral", True),
+            ("swap_automorphism", True),
+            ("strongly_cospectral", True),
+            ("p_plus", ["2", "0", "-4", "0", "1"]),
+            ("p_minus", ["0", "-2", "0", "1"]),
+            ("p_zero", ["1"]),
+            ("plus_irreducible", True),
+            ("minus_irreducible", False),
+            ("trace_ratio_plus", "0"),
+            ("trace_ratio_minus", "0"),
+            ("trace_ratios_distinct", False),
+            ("verdict", "LITERAL_CONDITION_FAILED"),
+            ("notes", P7_NOTES),
+        ],
+    ),
+    (
+        lambda: path_network(8),
+        (1, 8),
+        [
+            "pair: (1, 8)",
+            "cospectral: yes",
+            "swap_automorphism: yes",
+            "latent_symmetric: no",
+            "strongly_cospectral: yes",
+            "p_plus: lam^4 - lam^3 - 3*lam^2 + 2*lam + 1",
+            "p_minus: lam^4 + lam^3 - 3*lam^2 - 2*lam + 1",
+            "p_zero: 1",
+            "plus_irreducible: no",
+            "minus_irreducible: no",
+            "trace_ratio_plus: 1/4",
+            "trace_ratio_minus: -1/4",
+            "trace_ratios_distinct: yes",
+            "verdict: LITERAL_CONDITION_FAILED",
+            "notes: " + P8_NOTES,
+        ],
+        [
+            ("pair", [1, 8]),
+            ("cospectral", True),
+            ("swap_automorphism", True),
+            ("strongly_cospectral", True),
+            ("p_plus", ["1", "2", "-3", "-1", "1"]),
+            ("p_minus", ["1", "-2", "-3", "1", "1"]),
+            ("p_zero", ["1"]),
+            ("plus_irreducible", False),
+            ("minus_irreducible", False),
+            ("trace_ratio_plus", "1/4"),
+            ("trace_ratio_minus", "-1/4"),
+            ("trace_ratios_distinct", True),
+            ("verdict", "LITERAL_CONDITION_FAILED"),
+            ("notes", P8_NOTES),
+        ],
+    ),
+    (
+        lambda: cycle_network(4),
+        (1, 3),
+        [
+            "pair: (1, 3)",
+            "cospectral: yes",
+            "swap_automorphism: yes",
+            "latent_symmetric: no",
+            "strongly_cospectral: yes",
+            "p_plus: lam^2 - 4",
+            "p_minus: lam",
+            "p_zero: lam",
+            "plus_irreducible: no",
+            "minus_irreducible: yes",
+            "trace_ratio_plus: 0",
+            "trace_ratio_minus: 0",
+            "trace_ratios_distinct: no",
+            "verdict: LITERAL_CONDITION_FAILED",
+            "notes: " + C4_NOTES,
+        ],
+        [
+            ("pair", [1, 3]),
+            ("cospectral", True),
+            ("swap_automorphism", True),
+            ("strongly_cospectral", True),
+            ("p_plus", ["-4", "0", "1"]),
+            ("p_minus", ["0", "1"]),
+            ("p_zero", ["0", "1"]),
+            ("plus_irreducible", False),
+            ("minus_irreducible", True),
+            ("trace_ratio_plus", "0"),
+            ("trace_ratio_minus", "0"),
+            ("trace_ratios_distinct", False),
+            ("verdict", "LITERAL_CONDITION_FAILED"),
+            ("notes", C4_NOTES),
+        ],
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "build, pair, text, items",
     FROZEN_CERTIFICATES,
-    ids=[CERTIFIED, LITERAL_CONDITION_FAILED, NOT_STRONGLY_COSPECTRAL, NOT_COSPECTRAL],
+    ids=[
+        CERTIFIED,
+        LITERAL_CONDITION_FAILED,
+        NOT_STRONGLY_COSPECTRAL,
+        NOT_COSPECTRAL,
+        "P5-ends-both-reducible",
+        "P7-ends-minus-reducible",
+        "P8-ends-both-reducible-ratios-distinct",
+        "C4-antipodes-plus-reducible",
+    ],
 )
 def test_certificate_text_and_dict_are_frozen(build, pair, text, items):
     cert = pgst_certificate(build(), *pair)
@@ -379,6 +561,24 @@ def test_certificate_skips_swap_search_for_a_non_cospectral_pair(monkeypatch):
     cert = pgst_certificate(path_network(3), 1, 2)
     assert cert.verdict == NOT_COSPECTRAL
     assert cert.swap_automorphism is False
+
+
+@pytest.mark.parametrize(
+    "net, pair, verdict",
+    [
+        (Network(4, [Fraction(0)] * 4, [(1, 2, Fraction(1)), (3, 4, Fraction(1))]), (1, 3),
+         NOT_STRONGLY_COSPECTRAL),
+        (path_network(3), (1, 2), NOT_COSPECTRAL),  # the swap search: the test above
+    ],
+)
+def test_certificate_stops_at_the_first_failed_verdict_gate(monkeypatch, net, pair, verdict):
+    # the gates after a failed cospectral or strongly cospectral gate never run
+    def refuse(*args):
+        raise AssertionError("a gate ran after the certificate's verdict was decided")
+
+    monkeypatch.setattr(pgst, "is_irreducible", refuse)
+    monkeypatch.setattr(pgst, "trace_ratios", refuse)
+    assert pgst_certificate(net, *pair).verdict == verdict
 
 
 def frange(lo, hi, step):
@@ -573,14 +773,17 @@ def test_boundary_common_factor_is_a_zero_resultant():
 
 
 def test_one_adjugate_pass_per_public_call(monkeypatch):
+    # phi(G) is the only quantity that reads the traces to depth n: P0 reads
+    # them to depth deg P0 <= n - 2
     calls = []
-    engine = spectral._adjugate
+    engine = spectral._traces
 
-    def counted(net):
-        calls.append(net.n)
-        return engine(net)
+    def counted(net, m):
+        if m == net.n:
+            calls.append(net.n)
+        return engine(net, m)
 
-    monkeypatch.setattr(spectral, "_adjugate", counted)
+    monkeypatch.setattr(spectral, "_traces", counted)
     twins = Network(4, [Fraction(0)] * 4, [(1, 2, Fraction(1)), (3, 4, Fraction(1))])
     cases = [
         (pgst_certificate, build_ninesite(), 2, 6, 0),  # certified
@@ -649,17 +852,22 @@ def test_p_zero_is_char_poly_over_the_parity_factors(oracle_networks):
     for net, u, v in cases:
         pair = _pair_polys(net, u, v)
         p_plus, p_minus = pair.parity_factors
-        d, phi = spectral._adjugate(Network(net.n, net.onsite, net.edges))
+        fresh = Network(net.n, net.onsite, net.edges)
+        d, phi = fresh._integer_form.d, spectral._from_power_sums(spectral._traces(fresh, net.n))
         want = _lam_poly(polynomial._int_exact_div(phi, polynomial._int_mul(p_plus, p_minus)), d)
         assert parity_decompose(net, u, v).p_zero == want
     assert len(cases) >= 51
 
 
 def test_certificate_on_the_ends_of_a_long_path_reads_no_characteristic_polynomial(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the certificate computed phi(G)")
+    engine = spectral._traces
 
-    monkeypatch.setattr(spectral, "_adjugate", refuse)
+    def refuse(net, m):
+        if m == net.n:  # phi(G) reads the traces to depth n, P0 to deg P0 < n
+            raise AssertionError("the certificate computed phi(G)")
+        return engine(net, m)
+
+    monkeypatch.setattr(spectral, "_traces", refuse)
     cert = pgst_certificate(path_network(150), 1, 150)
     assert (cert.p_plus.degree, cert.p_minus.degree, cert.p_zero) == (75, 75, RationalPoly([1]))
 

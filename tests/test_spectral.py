@@ -16,8 +16,9 @@ from latsym.polynomial import RationalPoly, _int_gcd, _int_mul, _lam_poly, det_f
 from latsym.spectral import (
     ReductionMatrix,
     SpectralError,
-    _adjugate,
+    _from_power_sums,
     _pair_polys,
+    _traces,
     char_poly,
     is_cospectral,
     is_latent_symmetric,
@@ -464,7 +465,7 @@ def test_minor_engine_satisfies_jacobi_identity_against_cofactors(oracle_network
         n = net.n
         h = net.hamiltonian()
         scale, phi_mu, adj_mu = oracles.adjugate(net)
-        assert _adjugate(net) == (scale, phi_mu)
+        assert (net._integer_form.d, _from_power_sums(_traces(net, n))) == (scale, phi_mu)
         phi = _lam_poly(phi_mu, scale)
         assert phi == char_poly(net)
 
@@ -678,10 +679,14 @@ def test_reduction_from_walk_moments_matches_the_jacobi_route():
 
 
 def test_reduction_of_a_long_path_reads_no_characteristic_polynomial(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the reduction computed phi(G)")
+    engine = spectral._traces
 
-    monkeypatch.setattr(spectral, "_adjugate", refuse)
+    def refuse(net, m):
+        if m == net.n:  # phi(G) reads the traces to depth n
+            raise AssertionError("the reduction computed phi(G)")
+        return engine(net, m)
+
+    monkeypatch.setattr(spectral, "_traces", refuse)
     net = path_network(150)
     red = isospectral_reduction(net, 1, 150)
     # ends of P_n: D = phi(P_(n-2)), phi(G - v) = phi(P_(n-1)), A_uv = 1, and

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -614,10 +615,36 @@ def test_antisymmetric_input_never_reaches_singlet_sites():
     assert leak < 1e-10
 
 
-def moved_point_grid():
-    taus = np.linspace(0, 100, 2000)
-    taus[777] += 1e-9
+def moved_point_grid(taus=np.linspace(0, 100, 2000), shift=1e-9):
+    taus = taus.copy()
+    taus[777] += shift
     return taus
+
+
+@pytest.mark.parametrize(
+    "taus",
+    [
+        np.cumsum(np.full(10000, 0.01)),  # drifts 598 ulps of max|tau| from even spacing
+        np.array(list(itertools.accumulate([0.1] * 5000))),  # 301 ulps
+        np.cumsum(np.full(2000, 0.05)),  # 65 ulps
+    ],
+    ids=["cumsum-10000", "accumulate-5000", "cumsum-2000"],
+)
+def test_confinement_accepts_a_grid_summed_step_by_step(taus):
+    # a running sum drifts from tau_0 + j*step by fewer than N ulps of max|tau|;
+    # the amplitudes are read at tau_0 + j*step, so the phases may be off by
+    # N*eps*max|lam|*max|tau| against one exp per given sample
+    sys = eigh(build_ninesite())
+    eps, n = np.finfo(float).eps, taus.size
+    scale = 1 + float(np.abs(sys.eigenvalues).max()) * float(np.abs(taus).max())
+    even = np.linspace(taus[0], taus[-1], n)
+    for sites in ([1], SINGLET_SITES):
+        got = antisymmetric_confinement(sys, 2, 6, sites, taus)
+        assert abs(got - antisymmetric_confinement(sys, 2, 6, sites, even)) <= 16 * eps * scale
+        want = oracles.direct_confinement(sys, 2, 6, sites, taus)
+        assert abs(got - want) <= (n + 16) * eps * scale
+    # site 1 carries the input (max about 0.5), so the comparison is not vacuous
+    assert antisymmetric_confinement(sys, 2, 6, [1], taus) > 0.4
 
 
 @pytest.mark.parametrize(
@@ -715,6 +742,12 @@ def test_antisymmetric_confinement_needs_sites():
             lambda sys: antisymmetric_confinement(sys, 2, 6, SINGLET_SITES, moved_point_grid()),
             "evenly spaced",
         ),
+        (
+            lambda sys: antisymmetric_confinement(
+                sys, 2, 6, SINGLET_SITES, moved_point_grid(np.cumsum(np.full(10000, 0.01)), 1e-6)
+            ),
+            "evenly spaced",
+        ),
         (lambda sys: evolution_operator(sys, 1.7e308), r"max\|lam\| \* \|tau\|"),
         (lambda sys: fidelity_curve(sys, 2, 6, [0.0, -1.7e308]), r"max\|lam\| \* \|tau\|"),
         (lambda sys: envelope_scan(sys, 2, 6, 1.7e308, 1e307), r"max\|lam\| \* \|tau\|"),
@@ -723,6 +756,7 @@ def test_antisymmetric_confinement_needs_sites():
         "fidelity", "fidelity_curve", "evolve", "evolution_operator", "confinement-tau",
         "confinement-empty-grid", "confinement-singlet-u", "confinement-singlet-v",
         "confinement-u-equals-v", "confinement-geomspace", "confinement-moved-point",
+        "confinement-summed-moved-point",
         "evolution_operator-phase-overflow",
         "fidelity_curve-phase-overflow", "envelope_scan-phase-overflow",
     ],
